@@ -14,7 +14,10 @@ Two independent colength computations live here on purpose:
   integer Gaussian elimination, certifying exactness via stability at two
   consecutive caps.
 
-They share no code beyond the Polynomial type, so agreement is meaningful.
+Beyond the Polynomial type they share only ``_to_int_terms``, the conversion
+of a polynomial to an integer term dict with its content divided out. The
+Mora kernel then works on integer-coded monomials of its own, so agreement
+is meaningful.
 """
 
 from __future__ import annotations
@@ -25,7 +28,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import NonIsolatedSingularityError, NotAGermError, ZeroIdealError
+from .errors import (
+    ComputationBudgetError,
+    NonIsolatedSingularityError,
+    NotAGermError,
+    ZeroIdealError,
+)
 from .polynomials import Polynomial
 
 Exponent = tuple[int, int]
@@ -98,17 +106,8 @@ def _content_normalize(terms: IntTerms) -> IntTerms:
     return terms
 
 
-def _to_polynomial(terms: IntTerms) -> Polynomial:
-    return Polynomial({k: Fraction(c) for k, c in terms.items()})
-
-
 def _ord_of(terms: IntTerms) -> int:
     return min(i + j for i, j in terms)
-
-
-def _ecart(terms: IntTerms) -> int:
-    # gap between the highest and lowest total degree present
-    return max(i + j for i, j in terms) - _ord_of(terms)
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
@@ -194,59 +193,120 @@ class StandardBasis:
     order: LocalOrder
 
 
-def _mora_normal_form(f: IntTerms, reducers: list[IntTerms]) -> IntTerms:
-    """Mora's weak normal form of f against the reducer list.
+# The Mora kernel codes the monomial x^i y^j as the integer (i + j) * 2**32 - i.
+# For every x-degree below 2**32 integer order is then exactly the local order
+# (the smallest code is the leading monomial, the largest has the top degree),
+# and multiplying two monomials adds their codes.
+_SHIFT = 32
+_BELOW = (1 << _SHIFT) - 1
+
+CodeTerms = dict[int, int]
+# a reducer with its cached leading data: terms, leading code, leading
+# exponent (i, j) and its rank (ecart, i + j, i) in the reducer choice
+PoolEntry = tuple[CodeTerms, int, int, int, tuple[int, int, int]]
+
+
+def _encode(mono: Exponent) -> int:
+    i, j = mono
+    return ((i + j) << _SHIFT) - i
+
+
+def _degree(code: int) -> int:
+    return (code + _BELOW) >> _SHIFT
+
+
+def _decode(code: int) -> Exponent:
+    d = _degree(code)
+    i = (d << _SHIFT) - code
+    return (i, d - i)
+
+
+def _ecart(terms: CodeTerms, lead: int) -> int:
+    # gap between the highest and lowest total degree present
+    return _degree(max(terms)) - _degree(lead)
+
+
+def _normalized(terms: CodeTerms) -> tuple[CodeTerms, int | None]:
+    """Divide by the content, make the leading coefficient positive, return the lead."""
+    if not terms:
+        return terms, None
+    lead = min(terms)
+    g = gcd(*terms.values())
+    if terms[lead] < 0:
+        g = -g
+    if g != 1:
+        terms = {k: c // g for k, c in terms.items()}
+    return terms, lead
+
+
+def _pool_entry(terms: CodeTerms, lead: int) -> PoolEntry:
+    i, j = _decode(lead)
+    return (terms, lead, i, j, (_ecart(terms, lead), i + j, i))
+
+
+def _reduce_leading(
+    h: CodeTerms, lead_h: int, g: CodeTerms, lead_g: int
+) -> tuple[CodeTerms, int | None]:
+    """One exact reduction step: kill the leading term of h with a multiple of g."""
+    shift = lead_h - lead_g
+    a, b = g[lead_g], h[lead_h]
+    # dividing both multipliers by their gcd changes only the content,
+    # which _normalized divides out anyway
+    d = gcd(a, b)
+    a, b = a // d, b // d
+    out = {k: a * c for k, c in h.items()}
+    for k, c in g.items():
+        k += shift
+        v = out.get(k, 0) - b * c
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return _normalized(out)
+
+
+def _mora_normal_form(
+    h: CodeTerms, lead: int, reducers: list[PoolEntry]
+) -> tuple[CodeTerms, int | None]:
+    """Mora's weak normal form of h against the reducer list.
 
     Reducers whose ecart exceeds the current remainder's are avoided when a
     better one exists; when none exists the remainder itself joins the local
     reducer pool, which is what forces termination in the local order.
     """
-    pool = [(r, min(r, key=_order_key), _ecart(r)) for r in reducers]
-    h = f
+    pool = list(reducers)
     steps = 0
     while h:
-        lmh = min(h, key=_order_key)
+        hi, hj = _decode(lead)
         best = None
-        best_rank = None
-        for idx, (r, lm, ec) in enumerate(pool):
-            if not _divides(lm, lmh):
-                continue
+        for entry in pool:
             # prefer small ecart, then the smallest leading monomial (lowest
             # degree first), then first inserted; preferring low-degree
             # reducers keeps coefficient growth tame
-            rank = (ec, lm[0] + lm[1], lm[0], idx)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best = (r, ec)
+            if entry[2] <= hi and entry[3] <= hj and (best is None or entry[4] < best[4]):
+                best = entry
         if best is None:
-            return h
-        reducer, reducer_ecart = best
-        if reducer_ecart > _ecart(h):
-            pool.append((h, lmh, _ecart(h)))
-        h = _cancel_leading(h, reducer)
+            return h, lead
+        reducer_ecart = best[4][0]
+        if reducer_ecart and reducer_ecart > _ecart(h, lead):
+            pool.append(_pool_entry(h, lead))
+        h, lead = _reduce_leading(h, lead, best[0], best[1])
         steps += 1
         if steps > _REDUCTION_STEP_LIMIT:
-            raise RuntimeError("normal form did not terminate within the step limit")
-    return h
+            raise ComputationBudgetError(
+                f"normal form did not terminate within {_REDUCTION_STEP_LIMIT}"
+                " reduction steps"
+            )
+    return h, lead
 
 
-def _s_polynomial(f: IntTerms, g: IntTerms) -> IntTerms:
-    lmf = min(f, key=_order_key)
-    lmg = min(g, key=_order_key)
-    lcm = (max(lmf[0], lmg[0]), max(lmf[1], lmg[1]))
-    a, b = f[lmf], g[lmg]
-    out: IntTerms = {}
-    for (i, j), c in f.items():
-        k = (i + lcm[0] - lmf[0], j + lcm[1] - lmf[1])
-        out[k] = out.get(k, 0) + b * c
-    for (i, j), c in g.items():
-        k = (i + lcm[0] - lmg[0], j + lcm[1] - lmg[1])
-        v = out.get(k, 0) - a * c
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
-    return _content_normalize(out)
+def _s_polynomial(f: PoolEntry, g: PoolEntry) -> tuple[CodeTerms, int | None]:
+    # move f to the lcm of both leading monomials, then cancel g against it
+    f_terms, f_lead, fi, fj, _ = f
+    g_terms, g_lead, gi, gj, _ = g
+    lcm = _encode((max(fi, gi), max(fj, gj)))
+    shift = lcm - f_lead
+    return _reduce_leading({k + shift: c for k, c in f_terms.items()}, lcm, g_terms, g_lead)
 
 
 def standard_basis(generators: Iterable[Polynomial]) -> StandardBasis:
@@ -256,15 +316,16 @@ def standard_basis(generators: Iterable[Polynomial]) -> StandardBasis:
     in increasing order of the total degree of the lcm of leading monomials,
     which keeps the run deterministic.
     """
-    basis: list[IntTerms] = []
+    pool: list[PoolEntry] = []
     for p in generators:
         if not p.is_zero():
-            basis.append(_to_int_terms(p))
-    if not basis:
+            terms = {_encode(k): c for k, c in _to_int_terms(p).items()}
+            pool.append(_pool_entry(terms, min(terms)))
+    if not pool:
         raise ZeroIdealError("all generators are zero")
     # a unit generator spans the whole local ring; Mora reduction by a unit
     # never halts early, so short-circuit instead of completing
-    if any(_ord_of(g) == 0 for g in basis):
+    if any(entry[1] == 0 for entry in pool):
         return StandardBasis(
             generators=(Polynomial({(0, 0): 1}),),
             leading_exponents=frozenset([(0, 0)]),
@@ -272,31 +333,29 @@ def standard_basis(generators: Iterable[Polynomial]) -> StandardBasis:
         )
 
     def pair_key(i: int, j: int) -> tuple[int, int, int, int]:
-        lmi = min(basis[i], key=_order_key)
-        lmj = min(basis[j], key=_order_key)
-        lcm = (max(lmi[0], lmj[0]), max(lmi[1], lmj[1]))
-        return (lcm[0] + lcm[1], lcm[0], i, j)
+        li, lj = max(pool[i][2], pool[j][2]), max(pool[i][3], pool[j][3])
+        return (li + lj, li, i, j)
 
     queue: list[tuple[tuple[int, int, int, int], int, int]] = []
-    for j in range(len(basis)):
+    for j in range(len(pool)):
         for i in range(j):
             heapq.heappush(queue, (pair_key(i, j), i, j))
 
     while queue:
         _, i, j = heapq.heappop(queue)
-        s = _s_polynomial(basis[i], basis[j])
+        s, lead = _s_polynomial(pool[i], pool[j])
         if not s:
             continue
-        remainder = _mora_normal_form(s, basis)
+        remainder, lead = _mora_normal_form(s, lead, pool)
         if not remainder:
             continue
-        basis.append(remainder)
-        new = len(basis) - 1
+        pool.append(_pool_entry(remainder, lead))
+        new = len(pool) - 1
         for k in range(new):
             heapq.heappush(queue, (pair_key(k, new), k, new))
 
     # keep one generator per minimal leading exponent
-    lead = [min(g, key=_order_key) for g in basis]
+    lead = [(entry[2], entry[3]) for entry in pool]
     keep: list[int] = []
     for idx, lm in enumerate(lead):
         redundant = False
@@ -308,9 +367,11 @@ def standard_basis(generators: Iterable[Polynomial]) -> StandardBasis:
                 break
         if not redundant:
             keep.append(idx)
-    kept = [basis[idx] for idx in keep]
     return StandardBasis(
-        generators=tuple(_to_polynomial(g) for g in kept),
+        generators=tuple(
+            Polynomial({_decode(k): Fraction(c) for k, c in pool[idx][0].items()})
+            for idx in keep
+        ),
         leading_exponents=frozenset(lead[idx] for idx in keep),
         order=LOCAL_ORDER,
     )

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from germlab import localalg
 from germlab.cli import main
 
 EXPECTED_REPORT_KEYS = [
@@ -264,6 +265,24 @@ def test_corpus_domain_error_exit_two(tmp_path, capsys):
     code, out, _ = run(capsys, "corpus", str(path))
     assert code == 2
     assert "ERROR" in out
+
+
+def test_reduction_step_budget_is_a_domain_error(monkeypatch, tmp_path, capsys):
+    # the cusp needs at most 3 steps per normal form, x^3 + y^7 + x*y^5 more
+    monkeypatch.setattr(localalg, "_REDUCTION_STEP_LIMIT", 3)
+    code, out, err = run(capsys, "analyze", "x^3 + y^7 + x*y^5")
+    assert (code, out) == (2, "")
+    assert "ComputationBudgetError: normal form did not terminate" in err
+    path = tmp_path / "budget.corpus"
+    path.write_text(
+        "a\ty^2 - x^3\tmilnor=2\nb\tx^3 + y^7 + x*y^5\nc\tx^2 + y^3\n", encoding="utf-8"
+    )
+    code, out, _ = run(capsys, "corpus", str(path), "--format", "json")
+    assert code == 2
+    payload = json.loads(out)
+    assert [e["error"] is None for e in payload["entries"]] == [True, False, True]
+    assert "line 2: normal form did not terminate" in payload["entries"][1]["error"]
+    assert payload["entries"][0]["report"]["milnor"] == 2
 
 
 def test_corpus_missing_file_exit_two(capsys):

@@ -13,6 +13,9 @@ from germlab.localalg import (
     INFINITE,
     LOCAL_ORDER,
     UNSTABLE,
+    _decode,
+    _encode,
+    _order_key,
     colength,
     colength_oracle,
     milnor_number,
@@ -59,6 +62,21 @@ def test_leading_monomial():
     p = parse_polynomial("y^2 - x^3")
     assert LOCAL_ORDER.leading_monomial(p) == (0, 2)
     assert LOCAL_ORDER.leading_monomial(parse_polynomial("x^2 + x*y + y^3")) == (2, 0)
+
+
+def test_monomial_codes_follow_the_local_order():
+    # past the 512 degree cap, because Mora tails grow upward
+    monomials = [(i, d - i) for d in range(601) for i in range(d + 1)]
+    codes = [_encode(m) for m in sorted(monomials, key=_order_key)]
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+    x, y = _encode((1, 0)), _encode((0, 1))
+    for i, j in monomials:
+        code = _encode((i, j))
+        assert _decode(code) == (i, j)
+        # additivity for unit steps gives it for every sum, by induction
+        if i + j < 600:
+            assert code + x == _encode((i + 1, j))
+            assert code + y == _encode((i, j + 1))
 
 
 # -- standard bases -----------------------------------------------------
@@ -224,3 +242,262 @@ def test_two_pipelines_agree_on_random_jacobian_ideals():
         slow = colength_oracle(gens, degree_cap=14)
         assert slow is not UNSTABLE
         assert fast == slow
+
+
+# -- pinned standard bases of the sheared reducible family ---------------
+
+# Standard bases of the mu ideal (f_x, f_y) and the tau ideal (f, f_x, f_y)
+# of x^a + y^a + x^k y^k (k = a // 2 + 1) after (x, y) -> (x + u*y, v*x + y),
+# keyed by (a, u, v, ideal). A change to the Mora kernel's reducer choice or
+# pair order that alters any of these bases shows here.
+PINNED_BASES = {
+    (4, 2, 2, "mu"): (
+        (
+            "40 y^3 + 96 x*y^2 + 120 x^2*y + 68 x^3 + 60 y^5 + 348 x*y^4 + 735 x^2*y^3"
+            " + 696 x^3*y^2 + 300 x^4*y + 48 x^5",
+            "28 y^3 + 40 x*y^2 + 16 x^2*y + 8 y^5 + 60 x*y^4 + 166 x^2*y^3 + 205 x^3*y^2"
+            " + 108 x^4*y + 20 x^5",
+            "60 y^4 + 48 x*y^3 + 40 y^6 + 236 x*y^5 + 470 x^2*y^4 + 297 x^3*y^3 - 110 x^4*y^2"
+            " - 164 x^5*y - 40 x^6",
+            "36 y^5 - 104 y^7 - 620 x*y^6 - 1302 x^2*y^5 - 905 x^3*y^4 + 658 x^4*y^3"
+            " + 1500 x^5*y^2 + 856 x^6*y + 160 x^7",
+        ),
+        {(0, 5), (1, 3), (2, 1), (3, 0)},
+    ),
+    (4, 2, 2, "tau"): (
+        (
+            "40 y^3 + 96 x*y^2 + 120 x^2*y + 68 x^3 + 60 y^5 + 348 x*y^4 + 735 x^2*y^3"
+            " + 696 x^3*y^2 + 300 x^4*y + 48 x^5",
+            "28 y^3 + 40 x*y^2 + 16 x^2*y + 8 y^5 + 60 x*y^4 + 166 x^2*y^3 + 205 x^3*y^2"
+            " + 108 x^4*y + 20 x^5",
+            "60 y^4 + 48 x*y^3 + 40 y^6 + 236 x*y^5 + 470 x^2*y^4 + 297 x^3*y^3 - 110 x^4*y^2"
+            " - 164 x^5*y - 40 x^6",
+            "36 y^5 - 104 y^7 - 620 x*y^6 - 1302 x^2*y^5 - 905 x^3*y^4 + 658 x^4*y^3"
+            " + 1500 x^5*y^2 + 856 x^6*y + 160 x^7",
+        ),
+        {(0, 5), (1, 3), (2, 1), (3, 0)},
+    ),
+    (4, 2, -2, "mu"): (
+        (
+            "24 y^3 + 96 x*y^2 - 72 x^2*y + 68 x^3 - 36 y^5 + 60 x*y^4 + 135 x^2*y^3"
+            " - 120 x^3*y^2 - 180 x^4*y - 48 x^5",
+            "52 y^3 + 72 x*y^2 + 48 x^2*y + 24 y^5 - 108 x*y^4 + 114 x^2*y^3 + 63 x^3*y^2"
+            " - 84 x^4*y - 36 x^5",
+            "300 y^4 + 400 x*y^3 + 72 y^6 - 516 x*y^5 + 990 x^2*y^4 - 75 x^3*y^3 - 810 x^4*y^2"
+            " - 84 x^5*y + 72 x^6",
+            "2500 y^5 + 1752 y^7 - 7020 x*y^6 + 8682 x^2*y^5 - 4905 x^3*y^4 - 210 x^4*y^3"
+            " + 6876 x^5*y^2 + 360 x^6*y - 864 x^7",
+        ),
+        {(0, 5), (1, 3), (2, 1), (3, 0)},
+    ),
+    (4, 2, -2, "tau"): (
+        (
+            "24 y^3 + 96 x*y^2 - 72 x^2*y + 68 x^3 - 36 y^5 + 60 x*y^4 + 135 x^2*y^3"
+            " - 120 x^3*y^2 - 180 x^4*y - 48 x^5",
+            "52 y^3 + 72 x*y^2 + 48 x^2*y + 24 y^5 - 108 x*y^4 + 114 x^2*y^3 + 63 x^3*y^2"
+            " - 84 x^4*y - 36 x^5",
+            "300 y^4 + 400 x*y^3 + 72 y^6 - 516 x*y^5 + 990 x^2*y^4 - 75 x^3*y^3 - 810 x^4*y^2"
+            " - 84 x^5*y + 72 x^6",
+            "2500 y^5 + 1752 y^7 - 7020 x*y^6 + 8682 x^2*y^5 - 4905 x^3*y^4 - 210 x^4*y^3"
+            " + 6876 x^5*y^2 + 360 x^6*y - 864 x^7",
+        ),
+        {(0, 5), (1, 3), (2, 1), (3, 0)},
+    ),
+    (4, -2, 2, "mu"): (
+        (
+            "-24 y^3 + 96 x*y^2 + 72 x^2*y + 68 x^3 - 36 y^5 - 60 x*y^4 + 135 x^2*y^3"
+            " + 120 x^3*y^2 - 180 x^4*y + 48 x^5",
+            "52 y^3 - 72 x*y^2 + 48 x^2*y - 24 y^5 - 108 x*y^4 - 114 x^2*y^3 + 63 x^3*y^2"
+            " + 84 x^4*y - 36 x^5",
+            "-300 y^4 + 400 x*y^3 + 72 y^6 + 516 x*y^5 + 990 x^2*y^4 + 75 x^3*y^3 - 810 x^4*y^2"
+            " + 84 x^5*y + 72 x^6",
+            "2500 y^5 - 1752 y^7 - 7020 x*y^6 - 8682 x^2*y^5 - 4905 x^3*y^4 + 210 x^4*y^3"
+            " + 6876 x^5*y^2 - 360 x^6*y - 864 x^7",
+        ),
+        {(0, 5), (1, 3), (2, 1), (3, 0)},
+    ),
+    (4, -2, 2, "tau"): (
+        (
+            "-24 y^3 + 96 x*y^2 + 72 x^2*y + 68 x^3 - 36 y^5 - 60 x*y^4 + 135 x^2*y^3"
+            " + 120 x^3*y^2 - 180 x^4*y + 48 x^5",
+            "52 y^3 - 72 x*y^2 + 48 x^2*y - 24 y^5 - 108 x*y^4 - 114 x^2*y^3 + 63 x^3*y^2"
+            " + 84 x^4*y - 36 x^5",
+            "-300 y^4 + 400 x*y^3 + 72 y^6 + 516 x*y^5 + 990 x^2*y^4 + 75 x^3*y^3 - 810 x^4*y^2"
+            " + 84 x^5*y + 72 x^6",
+            "2500 y^5 - 1752 y^7 - 7020 x*y^6 - 8682 x^2*y^5 - 4905 x^3*y^4 + 210 x^4*y^3"
+            " + 6876 x^5*y^2 - 360 x^6*y - 864 x^7",
+        ),
+        {(0, 5), (1, 3), (2, 1), (3, 0)},
+    ),
+    (4, -2, -2, "mu"): (
+        (
+            "-40 y^3 + 96 x*y^2 - 120 x^2*y + 68 x^3 + 60 y^5 - 348 x*y^4 + 735 x^2*y^3"
+            " - 696 x^3*y^2 + 300 x^4*y - 48 x^5",
+            "28 y^3 - 40 x*y^2 + 16 x^2*y - 8 y^5 + 60 x*y^4 - 166 x^2*y^3 + 205 x^3*y^2"
+            " - 108 x^4*y + 20 x^5",
+            "-60 y^4 + 48 x*y^3 + 40 y^6 - 236 x*y^5 + 470 x^2*y^4 - 297 x^3*y^3 - 110 x^4*y^2"
+            " + 164 x^5*y - 40 x^6",
+            "36 y^5 + 104 y^7 - 620 x*y^6 + 1302 x^2*y^5 - 905 x^3*y^4 - 658 x^4*y^3"
+            " + 1500 x^5*y^2 - 856 x^6*y + 160 x^7",
+        ),
+        {(0, 5), (1, 3), (2, 1), (3, 0)},
+    ),
+    (4, -2, -2, "tau"): (
+        (
+            "-40 y^3 + 96 x*y^2 - 120 x^2*y + 68 x^3 + 60 y^5 - 348 x*y^4 + 735 x^2*y^3"
+            " - 696 x^3*y^2 + 300 x^4*y - 48 x^5",
+            "28 y^3 - 40 x*y^2 + 16 x^2*y - 8 y^5 + 60 x*y^4 - 166 x^2*y^3 + 205 x^3*y^2"
+            " - 108 x^4*y + 20 x^5",
+            "-60 y^4 + 48 x*y^3 + 40 y^6 - 236 x*y^5 + 470 x^2*y^4 - 297 x^3*y^3 - 110 x^4*y^2"
+            " + 164 x^5*y - 40 x^6",
+            "36 y^5 + 104 y^7 - 620 x*y^6 + 1302 x^2*y^5 - 905 x^3*y^4 - 658 x^4*y^3"
+            " + 1500 x^5*y^2 - 856 x^6*y + 160 x^7",
+        ),
+        {(0, 5), (1, 3), (2, 1), (3, 0)},
+    ),
+    (5, 2, 2, "mu"): (
+        (
+            "30 y^4 + 80 x*y^3 + 120 x^2*y^2 + 120 x^3*y + 55 x^4 + 20 y^5 + 116 x*y^4"
+            " + 245 x^2*y^3 + 232 x^3*y^2 + 100 x^4*y + 16 x^5",
+            "425 y^4 + 840 x*y^3 + 600 x^2*y^2 + 160 x^3*y + 56 y^5 + 404 x*y^4 + 1082 x^2*y^3"
+            " + 1303 x^3*y^2 + 676 x^4*y + 124 x^5",
+            "3015 y^5 + 4500 x*y^4 + 1800 x^2*y^3 + 584 y^6 + 3660 x*y^5 + 8022 x^2*y^4"
+            " + 6545 x^3*y^3 + 192 x^4*y^2 - 1740 x^5*y - 496 x^6",
+            "2025 y^6 + 1620 x*y^5 - 200 y^7 - 1228 x*y^6 - 3030 x^2*y^5 - 3089 x^3*y^4"
+            " + 1640 x^4*y^3 + 6756 x^5*y^2 + 4720 x^6*y + 992 x^7",
+            "3645 y^7 + 15512 y^8 + 100580 x*y^7 + 244706 x^2*y^6 + 255635 x^3*y^5"
+            " + 24236 x^4*y^4 - 233020 x^5*y^3 - 262048 x^6*y^2 - 119200 x^7*y - 19840 x^8",
+        ),
+        {(0, 7), (1, 5), (2, 3), (3, 1), (4, 0)},
+    ),
+    (5, 2, 2, "tau"): (
+        (
+            "30 y^4 + 80 x*y^3 + 120 x^2*y^2 + 120 x^3*y + 55 x^4 + 20 y^5 + 116 x*y^4"
+            " + 245 x^2*y^3 + 232 x^3*y^2 + 100 x^4*y + 16 x^5",
+            "425 y^4 + 840 x*y^3 + 600 x^2*y^2 + 160 x^3*y + 56 y^5 + 404 x*y^4 + 1082 x^2*y^3"
+            " + 1303 x^3*y^2 + 676 x^4*y + 124 x^5",
+            "3015 y^5 + 4500 x*y^4 + 1800 x^2*y^3 + 584 y^6 + 3660 x*y^5 + 8022 x^2*y^4"
+            " + 6545 x^3*y^3 + 192 x^4*y^2 - 1740 x^5*y - 496 x^6",
+            "57915 y^6 + 40500 x*y^5 + 8104 y^7 + 60380 x*y^6 + 194142 x^2*y^5 + 400765 x^3*y^4"
+            " + 620672 x^4*y^3 + 625740 x^5*y^2 + 310384 x^6*y + 56480 x^7",
+            "405 y^6 + 728 y^7 + 5060 x*y^6 + 14994 x^2*y^5 + 26555 x^3*y^4 + 32204 x^4*y^3"
+            " + 25380 x^5*y^2 + 10688 x^6*y + 1760 x^7",
+        ),
+        {(0, 6), (1, 5), (2, 3), (3, 1), (4, 0)},
+    ),
+    (5, 2, -2, "mu"): (
+        (
+            "-70 y^4 - 240 x*y^3 + 120 x^2*y^2 - 360 x^3*y + 155 x^4 + 36 y^5 - 60 x*y^4"
+            " - 135 x^2*y^3 + 120 x^3*y^2 + 180 x^4*y + 48 x^5",
+            "1275 y^4 + 2600 x*y^3 + 1800 x^2*y^2 + 800 x^3*y + 168 y^5 - 900 x*y^4"
+            " + 1230 x^2*y^3 + 405 x^3*y^2 - 1020 x^4*y - 396 x^5",
+            "21875 y^5 + 37500 x*y^4 + 25000 x^2*y^3 + 3816 y^6 - 18372 x*y^5 + 23310 x^2*y^4"
+            " + 4965 x^3*y^3 - 16560 x^4*y^2 - 2172 x^5*y + 1584 x^6",
+            "46875 y^6 + 62500 x*y^5 + 4776 y^7 - 36324 x*y^6 + 78654 x^2*y^5 - 28755 x^3*y^4"
+            " - 48840 x^4*y^3 + 11628 x^5*y^2 + 1968 x^6*y - 3168 x^7",
+            "78125 y^7 + 23832 y^8 - 93852 x*y^7 + 142434 x^2*y^6 - 178701 x^3*y^5"
+            " + 95940 x^4*y^4 + 138756 x^5*y^3 - 36576 x^6*y^2 + 1632 x^7*y + 12672 x^8",
+        ),
+        {(0, 7), (1, 5), (2, 3), (3, 1), (4, 0)},
+    ),
+    (5, 2, -2, "tau"): (
+        (
+            "-70 y^4 - 240 x*y^3 + 120 x^2*y^2 - 360 x^3*y + 155 x^4 + 36 y^5 - 60 x*y^4"
+            " - 135 x^2*y^3 + 120 x^3*y^2 + 180 x^4*y + 48 x^5",
+            "1275 y^4 + 2600 x*y^3 + 1800 x^2*y^2 + 800 x^3*y + 168 y^5 - 900 x*y^4"
+            " + 1230 x^2*y^3 + 405 x^3*y^2 - 1020 x^4*y - 396 x^5",
+            "21875 y^5 + 37500 x*y^4 + 25000 x^2*y^3 + 3816 y^6 - 18372 x*y^5 + 23310 x^2*y^4"
+            " + 4965 x^3*y^3 - 16560 x^4*y^2 - 2172 x^5*y + 1584 x^6",
+            "296875 y^6 + 187500 x*y^5 + 48168 y^7 - 267492 x*y^6 + 498942 x^2*y^5"
+            " - 279315 x^3*y^4 - 173520 x^4*y^3 + 221004 x^5*y^2 + 144 x^6*y - 39264 x^7",
+            "15625 y^6 + 3384 y^7 - 15852 x*y^6 + 26298 x^2*y^5 - 19305 x^3*y^4 - 2700 x^4*y^3"
+            " + 18612 x^5*y^2 - 576 x^6*y - 2976 x^7",
+        ),
+        {(0, 6), (1, 5), (2, 3), (3, 1), (4, 0)},
+    ),
+    (5, -2, 2, "mu"): (
+        (
+            "90 y^4 - 80 x*y^3 + 360 x^2*y^2 + 280 x^3*y + 165 x^4 - 36 y^5 - 60 x*y^4"
+            " + 135 x^2*y^3 + 120 x^3*y^2 - 180 x^4*y + 48 x^5",
+            "-1275 y^4 + 2600 x*y^3 - 1800 x^2*y^2 + 800 x^3*y - 216 y^5 - 1020 x*y^4"
+            " - 1170 x^2*y^3 + 555 x^3*y^2 + 900 x^4*y - 372 x^5",
+            "21875 y^5 - 37500 x*y^4 + 25000 x^2*y^3 + 2712 y^6 + 15804 x*y^5 + 25170 x^2*y^4"
+            " - 1755 x^3*y^3 - 19920 x^4*y^2 + 3204 x^5*y + 1488 x^6",
+            "-46875 y^6 + 62500 x*y^5 - 9432 y^7 - 45468 x*y^6 - 66978 x^2*y^5 - 18285 x^3*y^4"
+            " + 29880 x^4*y^3 + 21396 x^5*y^2 - 4176 x^6*y - 2976 x^7",
+            "78125 y^7 - 1176 y^8 + 59364 x*y^7 + 232638 x^2*y^6 + 195507 x^3*y^5 - 36420 x^4*y^4"
+            " - 23292 x^5*y^3 - 83232 x^6*y^2 + 7776 x^7*y + 11904 x^8",
+        ),
+        {(0, 7), (1, 5), (2, 3), (3, 1), (4, 0)},
+    ),
+    (5, -2, 2, "tau"): (
+        (
+            "90 y^4 - 80 x*y^3 + 360 x^2*y^2 + 280 x^3*y + 165 x^4 - 36 y^5 - 60 x*y^4"
+            " + 135 x^2*y^3 + 120 x^3*y^2 - 180 x^4*y + 48 x^5",
+            "-1275 y^4 + 2600 x*y^3 - 1800 x^2*y^2 + 800 x^3*y - 216 y^5 - 1020 x*y^4"
+            " - 1170 x^2*y^3 + 555 x^3*y^2 + 900 x^4*y - 372 x^5",
+            "21875 y^5 - 37500 x*y^4 + 25000 x^2*y^3 + 2712 y^6 + 15804 x*y^5 + 25170 x^2*y^4"
+            " - 1755 x^3*y^3 - 19920 x^4*y^2 + 3204 x^5*y + 1488 x^6",
+            "-296875 y^6 + 187500 x*y^5 - 36696 y^7 - 250524 x*y^6 - 539874 x^2*y^5"
+            " - 293805 x^3*y^4 + 235440 x^4*y^3 + 177588 x^5*y^2 + 12432 x^6*y - 40608 x^7",
+            "15625 y^6 + 840 y^7 + 11412 x*y^6 + 33894 x^2*y^5 + 23895 x^3*y^4 - 14580 x^4*y^3"
+            " - 11340 x^5*y^2 - 2496 x^6*y + 3168 x^7",
+        ),
+        {(0, 6), (1, 5), (2, 3), (3, 1), (4, 0)},
+    ),
+    (5, -2, -2, "mu"): (
+        (
+            "-70 y^4 + 80 x*y^3 + 120 x^2*y^2 - 280 x^3*y + 155 x^4 - 60 y^5 + 348 x*y^4"
+            " - 735 x^2*y^3 + 696 x^3*y^2 - 300 x^4*y + 48 x^5",
+            "-425 y^4 + 840 x*y^3 - 600 x^2*y^2 + 160 x^3*y - 72 y^5 + 492 x*y^4 - 1254 x^2*y^3"
+            " + 1449 x^3*y^2 - 732 x^4*y + 132 x^5",
+            "1005 y^5 - 1500 x*y^4 + 600 x^2*y^3 + 104 y^6 - 700 x*y^5 + 1582 x^2*y^4"
+            " - 1125 x^3*y^3 - 448 x^4*y^2 + 700 x^5*y - 176 x^6",
+            "-675 y^6 + 540 x*y^5 - 280 y^7 + 1732 x*y^6 - 4050 x^2*y^5 + 4891 x^3*y^4"
+            " - 4360 x^4*y^3 + 3636 x^5*y^2 - 1840 x^6*y + 352 x^7",
+            "1215 y^7 - 5128 y^8 + 36300 x*y^7 - 107414 x^2*y^6 + 183025 x^3*y^5 - 214884 x^4*y^4"
+            " + 190700 x^5*y^3 - 121888 x^6*y^2 + 45600 x^7*y - 7040 x^8",
+        ),
+        {(0, 7), (1, 5), (2, 3), (3, 1), (4, 0)},
+    ),
+    (5, -2, -2, "tau"): (
+        (
+            "-70 y^4 + 80 x*y^3 + 120 x^2*y^2 - 280 x^3*y + 155 x^4 - 60 y^5 + 348 x*y^4"
+            " - 735 x^2*y^3 + 696 x^3*y^2 - 300 x^4*y + 48 x^5",
+            "-425 y^4 + 840 x*y^3 - 600 x^2*y^2 + 160 x^3*y - 72 y^5 + 492 x*y^4 - 1254 x^2*y^3"
+            " + 1449 x^3*y^2 - 732 x^4*y + 132 x^5",
+            "1005 y^5 - 1500 x*y^4 + 600 x^2*y^3 + 104 y^6 - 700 x*y^5 + 1582 x^2*y^4"
+            " - 1125 x^3*y^3 - 448 x^4*y^2 + 700 x^5*y - 176 x^6",
+            "-19305 y^6 + 13500 x*y^5 - 4424 y^7 + 29580 x*y^6 - 82902 x^2*y^5 + 147905 x^3*y^4"
+            " - 210432 x^4*y^3 + 207420 x^5*y^2 - 102704 x^6*y + 18720 x^7",
+            "1215 y^6 - 1288 y^7 + 6860 x*y^6 - 9174 x^2*y^5 - 12815 x^3*y^4 + 50716 x^4*y^3"
+            " - 58260 x^5*y^2 + 28352 x^6*y - 4960 x^7",
+        ),
+        {(0, 6), (1, 5), (2, 3), (3, 1), (4, 0)},
+    ),
+}
+
+
+def _sheared_reducible(a, u, v):
+    k = a // 2 + 1
+    f = parse_polynomial(f"x^{a} + y^{a} + x^{k}*y^{k}")
+    return f.substitute_linear(((1, u), (v, 1)))
+
+
+@pytest.mark.parametrize("a,u,v,ideal", sorted(PINNED_BASES))
+def test_standard_basis_is_pinned(a, u, v, ideal):
+    f = _sheared_reducible(a, u, v)
+    gens = list(f.partials()) if ideal == "mu" else [f, *f.partials()]
+    basis = standard_basis(gens)
+    generators, leading = PINNED_BASES[(a, u, v, ideal)]
+    assert basis.generators == tuple(parse_polynomial(g) for g in generators)
+    assert basis.leading_exponents == leading
+
+
+@pytest.mark.parametrize("a", [4, 5])
+def test_sheared_reducible_family_against_the_oracle(a):
+    for u in (2, -2):
+        for v in (2, -2):
+            f = _sheared_reducible(a, u, v)
+            assert milnor_number(f) == (a - 1) ** 2
+            assert tjurina_number(f) == colength_oracle([f, *f.partials()], degree_cap=12)
