@@ -1,7 +1,7 @@
 """Command-line front end: analyze, resolve, compare, verify, corpus.
 
 Output is deterministic: JSON uses a fixed key order, corpus results are
-sorted by entry id regardless of worker count, and every number is exact.
+sorted by entry id, and every number is exact.
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 corpus mismatch.
 """
 
@@ -11,20 +11,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
 from .compare import not_smoother
 from .errors import CorpusFormatError, GermError
-from .invariants import (
-    InvariantReport,
-    LawCheck,
-    germ_report,
-    resolution_law_checks,
-    theorem_verify,
-)
+from .invariants import InvariantReport, LawCheck, _stages, germ_report, verify_branch
 from .polynomials import DEFAULT_DEGREE_CAP, parse_polynomial
 from .resolution import characteristic_from_sequence, resolve_branch
 
@@ -235,9 +228,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     poly = parse_polynomial(args.polynomial, max_degree=args.max_degree)
-    report = germ_report(poly)
-    checks = resolution_law_checks(poly)
-    chain = theorem_verify(poly)
+    report, checks, chain = verify_branch(poly)
     if args.format == "json":
         payload = _report_payload(
             report,
@@ -254,7 +245,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     poly = parse_polynomial(args.polynomial, max_degree=args.max_degree)
     sequence = resolve_branch(poly)
     char = characteristic_from_sequence(sequence)
-    chain = theorem_verify(poly)
+    _, chain = _stages(poly, sequence)
     if args.format == "json":
         payload = {
             "input": str(poly),
@@ -320,14 +311,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     entries = _parse_corpus(_read_corpus_text(args.path))
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(entries) <= 1:
-        results = [_run_corpus_entry(entry, args.max_degree) for entry in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda e: _run_corpus_entry(e, args.max_degree), entries)
-            )
+    results = [_run_corpus_entry(entry, args.max_degree) for entry in entries]
     results.sort(key=lambda r: r["id"])
     errors = [r for r in results if r["error"] is not None]
     mismatched = [r for r in results if r["mismatches"]]
@@ -427,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_corpus.add_argument("path", help="corpus file path or bundled corpus name")
     p_corpus.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="worker threads"
+        "--jobs", type=int, default=1, metavar="N", help="ignored; entries run in order"
     )
     p_corpus.set_defaults(func=_cmd_corpus)
     return parser

@@ -14,7 +14,6 @@ from typing import Optional
 from .errors import (
     MultiplicityTooSmallError,
     NotABranchError,
-    NotAGermError,
     SmoothGermError,
     ZeroPolynomialError,
 )
@@ -52,21 +51,21 @@ class InvariantReport:
     ratio_ok: Optional[bool]
 
 
-def germ_report(f: Polynomial) -> InvariantReport:
-    """Compute multiplicity, mu, tau, the monotone quantity, and branch data."""
+def _report_and_resolution(
+    f: Polynomial,
+) -> tuple[InvariantReport, ResolutionSequence | NotABranchError]:
+    """germ_report's work, with the resolution or the error that refused it."""
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial defines no germ")
-    if f(0, 0) != 0:
-        raise NotAGermError("the polynomial does not vanish at the origin")
     mu = milnor_number(f)
     tau = tjurina_number(f)
-    sequence: Optional[ResolutionSequence]
+    resolution: ResolutionSequence | NotABranchError
     try:
-        sequence = resolve_branch(f)
-    except NotABranchError:
-        sequence = None
-    is_branch = sequence is not None
-    return InvariantReport(
+        resolution = resolve_branch(f)
+    except NotABranchError as exc:
+        resolution = exc
+    is_branch = isinstance(resolution, ResolutionSequence)
+    report = InvariantReport(
         input=f,
         multiplicity=f.order(),
         milnor=mu,
@@ -74,11 +73,30 @@ def germ_report(f: Polynomial) -> InvariantReport:
         monotone=3 * mu - 4 * tau,
         differential_gap=Fraction(tau) - Fraction(mu, 2),
         is_branch=is_branch,
-        delta=delta_from_sequence(sequence) if is_branch else None,
-        characteristic=characteristic_from_sequence(sequence) if is_branch else None,
-        multiplicity_sequence=sequence.multiplicity_sequence if is_branch else None,
+        delta=delta_from_sequence(resolution) if is_branch else None,
+        characteristic=characteristic_from_sequence(resolution) if is_branch else None,
+        multiplicity_sequence=resolution.multiplicity_sequence if is_branch else None,
         ratio_ok=(3 * mu < 4 * tau) if mu >= 1 else None,
     )
+    return report, resolution
+
+
+def germ_report(f: Polynomial) -> InvariantReport:
+    """Compute multiplicity, mu, tau, the monotone quantity, and branch data."""
+    return _report_and_resolution(f)[0]
+
+
+def verify_branch(f: Polynomial) -> tuple[InvariantReport, list[LawCheck], list[int]]:
+    """germ_report, resolution_law_checks and theorem_verify from one pass.
+
+    Resolves f once and computes mu and tau once per stage. Raises what
+    germ_report raises, then NotABranchError for reducible germs.
+    """
+    report, resolution = _report_and_resolution(f)
+    if isinstance(resolution, NotABranchError):
+        raise resolution
+    checks, chain = _stages(f, resolution, (report.milnor, report.tjurina))
+    return report, checks, chain
 
 
 def dmin_lower(m: int) -> int:
@@ -99,13 +117,7 @@ def claim_check_range(lo: int, hi: int) -> bool:
     """claim_check for every multiplicity in [lo, hi]; False at the first failure."""
     if lo < 2:
         raise MultiplicityTooSmallError("the bound is defined for multiplicity >= 2")
-    for m in range(lo, hi + 1):
-        half = m // 2
-        p1 = 1 if m % 2 == 0 else 0
-        dmin = m * (m - 1) // 2 - ((half - 1) * (m - half) + 1 - p1)
-        if 4 * dmin <= m * (m - 1):
-            return False
-    return True
+    return all(claim_check(m) for m in range(lo, hi + 1))
 
 
 @dataclass(frozen=True)
@@ -123,10 +135,6 @@ class LawCheck:
     monotone_increased: bool
 
     @property
-    def m(self) -> int:
-        return self.multiplicity
-
-    @property
     def mu_drop(self) -> int:
         return self.mu_before - self.mu_after
 
@@ -135,34 +143,11 @@ class LawCheck:
         return self.tau_before - self.tau_after
 
     @property
-    def dmin_lower(self) -> int:
-        return self.dmin_bound
-
-    @property
-    def tau_drop_bound_ok(self) -> bool:
-        return self.tau_drop_bounded
-
-    @property
-    def monotone_strictly_increased(self) -> bool:
-        return self.monotone_increased
-
-    @property
     def all_ok(self) -> bool:
         return self.mu_drop_exact and self.tau_drop_bounded and self.monotone_increased
 
 
-def blowup_law_check(f: Polynomial) -> LawCheck:
-    """Blow up a singular branch once and test the three per-step laws.
-
-    The laws: mu drops by exactly m*(m-1); tau drops by at least
-    m*(m-1)/2 + dmin_lower(m); and 3*mu - 4*tau strictly increases.
-    """
-    resolve_branch(f)  # raises NotABranchError for reducible germs
-    step = strict_transform_once(f)  # raises NotSingularError for smooth germs
-    m = step.multiplicity_before
-    mu0, tau0 = milnor_number(f), tjurina_number(f)
-    g = step.strict_transform
-    mu1, tau1 = milnor_number(g), tjurina_number(g)
+def _law_check(m: int, mu0: int, tau0: int, mu1: int, tau1: int) -> LawCheck:
     bound = dmin_lower(m)
     return LawCheck(
         multiplicity=m,
@@ -177,35 +162,52 @@ def blowup_law_check(f: Polynomial) -> LawCheck:
     )
 
 
+def blowup_law_check(f: Polynomial) -> LawCheck:
+    """Blow up a singular branch once and test the three per-step laws.
+
+    The laws: mu drops by exactly m*(m-1); tau drops by at least
+    m*(m-1)/2 + dmin_lower(m); and 3*mu - 4*tau strictly increases.
+    """
+    resolve_branch(f)  # raises NotABranchError for reducible germs
+    step = strict_transform_once(f)  # raises NotSingularError for smooth germs
+    g = step.strict_transform
+    return _law_check(
+        step.multiplicity_before,
+        milnor_number(f),
+        tjurina_number(f),
+        milnor_number(g),
+        tjurina_number(g),
+    )
+
+
+def _stages(
+    f: Polynomial,
+    sequence: ResolutionSequence,
+    first: Optional[tuple[int, int]] = None,
+) -> tuple[list[LawCheck], list[int]]:
+    """Law checks and the 3*mu - 4*tau chain along the resolution of f.
+
+    Computes mu and tau once per stage; ``first`` is stage 0's (mu, tau)
+    when the caller already has them.
+    """
+    mu0, tau0 = first if first is not None else (milnor_number(f), tjurina_number(f))
+    checks: list[LawCheck] = []
+    chain = [3 * mu0 - 4 * tau0]
+    for step in sequence.steps:
+        g = step.strict_transform
+        mu1, tau1 = milnor_number(g), tjurina_number(g)
+        checks.append(_law_check(step.multiplicity_before, mu0, tau0, mu1, tau1))
+        chain.append(3 * mu1 - 4 * tau1)
+        mu0, tau0 = mu1, tau1
+    return checks, chain
+
+
 def resolution_law_checks(f: Polynomial) -> list[LawCheck]:
     """One LawCheck per blowup along the whole resolution of a branch.
 
     Empty for a smooth germ; raises NotABranchError for reducible germs.
     """
-    sequence = resolve_branch(f)
-    stages = [f] + [step.strict_transform for step in sequence.steps]
-    mus = [milnor_number(g) for g in stages]
-    taus = [tjurina_number(g) for g in stages]
-    checks: list[LawCheck] = []
-    for k, step in enumerate(sequence.steps):
-        m = step.multiplicity_before
-        bound = dmin_lower(m)
-        checks.append(
-            LawCheck(
-                multiplicity=m,
-                mu_before=mus[k],
-                tau_before=taus[k],
-                mu_after=mus[k + 1],
-                tau_after=taus[k + 1],
-                dmin_bound=bound,
-                mu_drop_exact=(mus[k] - mus[k + 1] == m * (m - 1)),
-                tau_drop_bounded=(taus[k] - taus[k + 1] >= m * (m - 1) // 2 + bound),
-                monotone_increased=(
-                    3 * mus[k + 1] - 4 * taus[k + 1] > 3 * mus[k] - 4 * taus[k]
-                ),
-            )
-        )
-    return checks
+    return _stages(f, resolve_branch(f))[0]
 
 
 def theorem_verify(f: Polynomial) -> list[int]:
@@ -215,14 +217,7 @@ def theorem_verify(f: Polynomial) -> list[int]:
     singular branch every earlier entry is negative and the list strictly
     increases. Raises NotABranchError for reducible germs.
     """
-    sequence = resolve_branch(f)
-    chain: list[int] = []
-    stage = f
-    for step in sequence.steps:
-        chain.append(3 * milnor_number(stage) - 4 * tjurina_number(stage))
-        stage = step.strict_transform
-    chain.append(3 * milnor_number(stage) - 4 * tjurina_number(stage))
-    return chain
+    return _stages(f, resolve_branch(f))[1]
 
 
 def ratio_check(report: InvariantReport) -> bool:

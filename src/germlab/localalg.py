@@ -56,27 +56,6 @@ def _order_key(mono: Exponent) -> tuple[int, int]:
     return (i + j, -i)
 
 
-class LocalOrder:
-    """The negative-degree monomial order with lex tie break (x above y)."""
-
-    @staticmethod
-    def key(mono: Exponent) -> tuple[int, int]:
-        return _order_key(mono)
-
-    @staticmethod
-    def greater(a: Exponent, b: Exponent) -> bool:
-        """True when monomial ``a`` is strictly larger than ``b``."""
-        return _order_key(a) < _order_key(b)
-
-    @staticmethod
-    def leading_monomial(p: "Polynomial | IntTerms") -> Exponent:
-        terms = p.terms if isinstance(p, Polynomial) else p
-        return min(terms, key=_order_key)
-
-
-LOCAL_ORDER = LocalOrder()
-
-
 # -- integer term-dict helpers ----------------------------------------------
 
 
@@ -190,7 +169,6 @@ class StandardBasis:
 
     generators: tuple[Polynomial, ...]
     leading_exponents: frozenset[Exponent]
-    order: LocalOrder
 
 
 # The Mora kernel codes the monomial x^i y^j as the integer (i + j) * 2**32 - i.
@@ -329,7 +307,6 @@ def standard_basis(generators: Iterable[Polynomial]) -> StandardBasis:
         return StandardBasis(
             generators=(Polynomial({(0, 0): 1}),),
             leading_exponents=frozenset([(0, 0)]),
-            order=LOCAL_ORDER,
         )
 
     def pair_key(i: int, j: int) -> tuple[int, int, int, int]:
@@ -373,7 +350,6 @@ def standard_basis(generators: Iterable[Polynomial]) -> StandardBasis:
             for idx in keep
         ),
         leading_exponents=frozenset(lead[idx] for idx in keep),
-        order=LOCAL_ORDER,
     )
 
 
@@ -402,7 +378,7 @@ def _require_germ(f: Polynomial) -> None:
 
 
 def _align_tangent_cone(f: Polynomial) -> Polynomial:
-    """Shear a single-direction tangent cone onto the y-axis.
+    """Move a single-direction tangent cone onto the line y = 0.
 
     Both colengths below are invariant under invertible linear substitutions,
     and Mora reduction behaves far better (no coefficient blow-up through
@@ -410,25 +386,10 @@ def _align_tangent_cone(f: Polynomial) -> Polynomial:
     Germs whose tangent cone already spreads over several directions are
     returned unchanged.
     """
-    from math import comb
-
-    m = f.order()
-    if m < 2:
+    if f.order() < 2:
         return f
-    init = f.initial_form()
-    top = init.coefficient(0, m)
-    if top == 0:
-        if len(init) == 1 and init.coefficient(m, 0) != 0:
-            # pure power of x: swap the variables
-            return f.swap_variables()
-        return f
-    t = -init.coefficient(1, m - 1) / (top * m)
-    if t == 0:
-        return f
-    pure = Polynomial({(k, m - k): top * comb(m, k) * (-t) ** k for k in range(m + 1)})
-    if pure == init:
-        return f.substitute_linear(((1, 0), (t, 1)))
-    return f
+    direction = f.tangent_direction()
+    return f if direction is None else f.align_tangent(direction)
 
 
 def milnor_number(f: Polynomial) -> int:

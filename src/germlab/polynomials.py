@@ -10,7 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from math import comb
+from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (
     DegreeCapError,
@@ -115,6 +116,28 @@ class Polynomial:
         return Polynomial._raw(
             {k: c for k, c in self._terms.items() if k[0] + k[1] == m}
         )
+
+    def tangent_direction(self) -> Optional[Direction]:
+        """The single direction of the tangent cone, or None if it has several.
+
+        Returns the direction when the initial form is a nonzero constant
+        times the m-th power of one linear form. Over Q an initial form with
+        no rational root structure factors with several directions, so it is
+        never a pure power.
+        """
+        m = self.order()
+        init = self.initial_form()
+        top = init.coefficient(0, m)
+        if top == 0:
+            # x divides the initial form; pure only if it is c * x^m
+            if len(init) == 1 and init.coefficient(m, 0) != 0:
+                return VERTICAL
+            return None
+        t = -init.coefficient(1, m - 1) / (top * m)
+        expected = Polynomial(
+            {(k, m - k): top * comb(m, k) * (-t) ** k for k in range(m + 1)}
+        )
+        return Slope(t) if expected == init else None
 
     def partials(self) -> tuple["Polynomial", "Polynomial"]:
         """Both first partial derivatives, x first."""
@@ -246,6 +269,18 @@ class Polynomial:
         px = Polynomial({(1, 0): a, (0, 1): b, (0, 0): e})
         py = Polynomial({(1, 0): c, (0, 1): d, (0, 0): g})
         return self.substitute(px, py)
+
+    def align_tangent(self, direction: Direction) -> "Polynomial":
+        """Move a tangent direction onto the line y = 0.
+
+        Swaps x and y for the vertical direction and shears y -> t*x + y for
+        the slope t, so an initial form c * l^m becomes c * y^m.
+        """
+        if isinstance(direction, Vertical):
+            return self.swap_variables()
+        if direction.t == 0:
+            return self
+        return self.substitute_linear(((1, 0), (direction.t, 1)))
 
     # -- printing --------------------------------------------------------
 

@@ -10,81 +10,28 @@ curve is x = 0. The strict transform is then the exact exponent shift
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, gcd
-from typing import Sequence, Union
+from math import gcd
+from typing import Optional, Sequence, Union
 
 from .errors import (
     InconsistentSequenceError,
     InvalidCharacteristicError,
     NonIsolatedSingularityError,
-    NotAGermError,
     NotABranchError,
     NotSingularError,
     ReducibleTangentConeError,
 )
-from .polynomials import Direction, Polynomial, Slope, Vertical, VERTICAL
-
-Exponent = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class PurePower:
-    """Tangent cone is a single direction with full multiplicity."""
-
-    direction: Direction
+from .localalg import _require_germ
+from .polynomials import Direction, Polynomial, Vertical
 
 
-class MultipleDirections:
-    """Tangent cone splits into at least two distinct directions."""
+def tangent_data(f: Polynomial) -> Optional[Direction]:
+    """The tangent direction of the germ at the origin, or None if it splits.
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "MultipleDirections()"
-
-
-MULTIPLE_DIRECTIONS = MultipleDirections()
-
-TangentData = Union[PurePower, MultipleDirections]
-
-
-def _require_germ(f: Polynomial) -> None:
-    if f.is_zero():
-        raise NotAGermError("the zero polynomial defines no germ")
-    if f(0, 0) != 0:
-        raise NotAGermError("the polynomial does not vanish at the origin")
-
-
-def tangent_data(f: Polynomial) -> TangentData:
-    """Classify the tangent cone of the germ at the origin.
-
-    Returns PurePower(direction) when the initial form is a nonzero constant
-    times the m-th power of one linear form, MultipleDirections otherwise.
-    Over Q an initial form with no rational root structure factors with
-    several directions, so it is never a pure power.
+    See ``Polynomial.tangent_direction``; this adds the germ check.
     """
     _require_germ(f)
-    m = f.order()
-    init = f.initial_form()
-    top = init.coefficient(0, m)
-    if top == 0:
-        # x divides the initial form; pure only if it is c * x^m
-        if len(init) == 1 and init.coefficient(m, 0) != 0:
-            return PurePower(VERTICAL)
-        return MULTIPLE_DIRECTIONS
-    t = -init.coefficient(1, m - 1) / (top * m)
-    expected = Polynomial(
-        {(k, m - k): top * comb(m, k) * (-t) ** k for k in range(m + 1)}
-    )
-    if expected == init:
-        return PurePower(Slope(t))
-    return MULTIPLE_DIRECTIONS
+    return f.tangent_direction()
 
 
 @dataclass(frozen=True)
@@ -107,23 +54,16 @@ def strict_transform_once(f: Polynomial) -> BlowupStep:
     Requires a singular germ whose tangent cone is a single direction;
     raises NotSingularError or ReducibleTangentConeError otherwise.
     """
-    data = tangent_data(f)
+    direction = tangent_data(f)
     m = f.order()
     if m < 2:
         raise NotSingularError("the germ is smooth; nothing to blow up")
-    if isinstance(data, MultipleDirections):
+    if direction is None:
         raise ReducibleTangentConeError(
             "tangent cone has several directions; the germ is not a branch here"
         )
-    direction = data.direction
-    if isinstance(direction, Vertical):
-        chart = "y"
-        aligned = f.swap_variables()
-    else:
-        chart = "x"
-        t = direction.t
-        aligned = f if t == 0 else f.substitute_linear(((1, 0), (t, 1)))
-    transformed = _shift_exponents(aligned, m)
+    chart = "y" if isinstance(direction, Vertical) else "x"
+    transformed = _shift_exponents(f.align_tangent(direction), m)
     return BlowupStep(
         chart=chart,
         direction=direction,

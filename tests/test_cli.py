@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from germlab import localalg
+import germlab
+from germlab import cli, compare, invariants, localalg, polynomials, resolution
 from germlab.cli import main
 
 EXPECTED_REPORT_KEYS = [
@@ -180,6 +181,75 @@ def test_verify_reducible_exit_two(capsys):
     code, _, err = run(capsys, "verify", "x^11+y^11+x^6*y^6")
     assert code == 2
     assert "NotABranch" in err
+
+
+# -- work done and error order ----------------------------------------------
+
+THREE_BLOWUPS = "y^4 - 2*x^3*y^2 - 4*x^5*y + x^6 - x^7"
+COUNTED = {
+    "milnor_number": localalg.milnor_number,
+    "tjurina_number": localalg.tjurina_number,
+    "resolve_branch": resolution.resolve_branch,
+}
+
+
+def _counter(counts, name, fn):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Count calls of COUNTED through every name the package binds them to."""
+    counts = dict.fromkeys(COUNTED, 0)
+    for name, fn in COUNTED.items():
+        counted = _counter(counts, name, fn)
+        for module in (germlab, cli, compare, invariants, localalg, polynomials, resolution):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("verify", THREE_BLOWUPS), (4, 4, 1)),
+        (("resolve", THREE_BLOWUPS), (4, 4, 1)),
+        (("analyze", THREE_BLOWUPS), (1, 1, 1)),
+        (("compare", THREE_BLOWUPS, "y^2 - x^3"), (2, 2, 2)),
+    ],
+)
+def test_each_stage_is_computed_once(call_counts, capsys, argv, expected):
+    # mu, tau, resolve_branch
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert tuple(call_counts.values()) == expected
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (("analyze", "x^2*y^2"), "NonIsolatedSingularityError"),
+        (("verify", "x^2*y^2"), "NonIsolatedSingularityError"),
+        (("compare", "y^2 - x^3", "x^2*y^2"), "NonIsolatedSingularityError"),
+        (("resolve", "x^2*y^2"), "NotABranchError"),
+        (("analyze", "0"), "ZeroPolynomialError"),
+        (("verify", "0"), "ZeroPolynomialError"),
+        (("resolve", "0"), "NotAGermError"),
+        (
+            ("resolve", "y^4 - 2*x^3*y^2 + x^6"),
+            "NonIsolatedSingularityError: not smooth after 360 blowups",
+        ),
+        (("verify", "y^2-x^2*y"), "NotABranchError: tangent cone splits at stage 1"),
+    ],
+)
+def test_the_first_failing_check_names_the_error(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {error}")
 
 
 # -- compare -----------------------------------------------------------------

@@ -144,13 +144,13 @@ def test_claim_check_random_large_m():
 
 def test_law_check_cusp():
     check = blowup_law_check(parse_polynomial("y^2 - x^3"))
-    assert check.m == 2
+    assert check.multiplicity == 2
     assert check.mu_drop == 2
     assert check.tau_drop == 2
-    assert check.dmin_lower == 1
+    assert check.dmin_bound == 1
     assert check.mu_drop_exact
-    assert check.tau_drop_bound_ok
-    assert check.monotone_strictly_increased
+    assert check.tau_drop_bounded
+    assert check.monotone_increased
     assert check.all_ok
 
 
@@ -160,7 +160,7 @@ def test_law_check_e8():
     assert (check.mu_after, check.tau_after) == (2, 2)
     assert check.mu_drop == 6
     assert check.tau_drop == 6
-    assert check.dmin_lower == 2
+    assert check.dmin_bound == 2
     assert check.all_ok  # bound: 3 + 2 = 5 <= 6
 
 
@@ -174,9 +174,9 @@ def test_law_check_a4():
 def test_law_check_bound_attained():
     # multiplicity 4 branch whose tau drop meets the bound with equality
     check = blowup_law_check(parse_polynomial("y^4 - 2*x^3*y^2 - 4*x^5*y + x^6 - x^7"))
-    assert check.m == 4
+    assert check.multiplicity == 4
     assert check.mu_drop == 12
-    assert check.tau_drop == 4 * 3 // 2 + check.dmin_lower
+    assert check.tau_drop == 4 * 3 // 2 + check.dmin_bound
     assert check.all_ok
 
 
@@ -189,7 +189,7 @@ def test_law_check_errors():
 
 def test_resolution_law_checks_full_chain():
     checks = resolution_law_checks(parse_polynomial("y^4 - 2*x^3*y^2 - 4*x^5*y + x^6 - x^7"))
-    assert [c.m for c in checks] == [4, 2, 2]
+    assert [c.multiplicity for c in checks] == [4, 2, 2]
     assert all(c.all_ok for c in checks)
     assert checks[0].mu_before == 16
     assert checks[-1].mu_after == 0

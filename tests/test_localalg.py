@@ -11,11 +11,13 @@ from germlab.errors import (
 )
 from germlab.localalg import (
     INFINITE,
-    LOCAL_ORDER,
     UNSTABLE,
     _decode,
     _encode,
+    _mora_normal_form,
     _order_key,
+    _pool_entry,
+    _to_int_terms,
     colength,
     colength_oracle,
     milnor_number,
@@ -29,20 +31,20 @@ from germlab.polynomials import ONE, Polynomial, parse_polynomial
 
 
 def test_one_is_largest_monomial():
-    assert LOCAL_ORDER.greater((0, 0), (1, 0))
-    assert LOCAL_ORDER.greater((0, 0), (0, 1))
-    assert LOCAL_ORDER.greater((0, 0), (3, 4))
+    assert _order_key((0, 0)) < _order_key((1, 0))
+    assert _order_key((0, 0)) < _order_key((0, 1))
+    assert _order_key((0, 0)) < _order_key((3, 4))
 
 
 def test_smaller_degree_is_larger():
-    assert LOCAL_ORDER.greater((1, 0), (1, 1))
-    assert LOCAL_ORDER.greater((0, 2), (3, 0))
+    assert _order_key((1, 0)) < _order_key((1, 1))
+    assert _order_key((0, 2)) < _order_key((3, 0))
 
 
 def test_tie_break_x_beats_y():
     # among equal total degrees, the power of x decides
-    assert LOCAL_ORDER.greater((2, 0), (1, 1))
-    assert LOCAL_ORDER.greater((1, 1), (0, 2))
+    assert _order_key((2, 0)) < _order_key((1, 1))
+    assert _order_key((1, 1)) < _order_key((0, 2))
 
 
 def test_order_is_multiplicative():
@@ -55,13 +57,13 @@ def test_order_is_multiplicative():
         s = (rng.randint(0, 4), rng.randint(0, 4))
         shifted1 = (m1[0] + s[0], m1[1] + s[1])
         shifted2 = (m2[0] + s[0], m2[1] + s[1])
-        assert LOCAL_ORDER.greater(m1, m2) == LOCAL_ORDER.greater(shifted1, shifted2)
+        assert (_order_key(m1) < _order_key(m2)) == (_order_key(shifted1) < _order_key(shifted2))
 
 
 def test_leading_monomial():
     p = parse_polynomial("y^2 - x^3")
-    assert LOCAL_ORDER.leading_monomial(p) == (0, 2)
-    assert LOCAL_ORDER.leading_monomial(parse_polynomial("x^2 + x*y + y^3")) == (2, 0)
+    assert min(p.terms, key=_order_key) == (0, 2)
+    assert min(parse_polynomial("x^2 + x*y + y^3").terms, key=_order_key) == (2, 0)
 
 
 def test_monomial_codes_follow_the_local_order():
@@ -130,6 +132,21 @@ def test_completion_finds_hidden_generators():
     assert value == colength_oracle(
         [parse_polynomial("y^2 - x^3"), parse_polynomial("x*y")], degree_cap=10
     )
+
+
+def _pool_entry_of(text):
+    terms = {_encode(k): c for k, c in _to_int_terms(parse_polynomial(text)).items()}
+    return _pool_entry(terms, min(terms))
+
+
+def test_mora_reducer_ties_go_to_the_first_inserted():
+    g1, g2 = _pool_entry_of("y^2 + x^3"), _pool_entry_of("y^2 + x^2*y")
+    # same rank (ecart, degree, x-degree) of the leading monomial y^2
+    assert g1[4] == g2[4] == (1, 2, 0)
+    lead = _encode((0, 2))
+    for pool, expected in (([g1, g2], (3, 0)), ([g2, g1], (2, 1))):
+        remainder, _ = _mora_normal_form({lead: 1}, lead, pool)
+        assert {_decode(k): c for k, c in remainder.items()} == {expected: 1}
 
 
 # -- the truncation oracle ----------------------------------------------

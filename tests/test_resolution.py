@@ -17,9 +17,7 @@ from germlab.errors import (
 from germlab.localalg import milnor_number
 from germlab.polynomials import VERTICAL, Slope, parse_polynomial
 from germlab.resolution import (
-    MULTIPLE_DIRECTIONS,
     PuiseuxCharacteristic,
-    PurePower,
     characteristic_from_sequence,
     delta_from_sequence,
     expected_sequence_from_characteristic,
@@ -34,26 +32,26 @@ from germlab.resolution import (
 
 
 def test_tangent_data_horizontal():
-    assert tangent_data(parse_polynomial("y^2 - x^3")) == PurePower(Slope(Fraction(0)))
+    assert tangent_data(parse_polynomial("y^2 - x^3")) == Slope(Fraction(0))
 
 
 def test_tangent_data_vertical():
-    assert tangent_data(parse_polynomial("x^3 + y^5")) == PurePower(VERTICAL)
+    assert tangent_data(parse_polynomial("x^3 + y^5")) == VERTICAL
 
 
 def test_tangent_data_slanted():
     f = parse_polynomial("x^3 + y^7 + x*y^5").substitute_linear(((1, -2), (-2, 1)))
-    assert tangent_data(f) == PurePower(Slope(Fraction(1, 2)))
+    assert tangent_data(f) == Slope(Fraction(1, 2))
 
 
 def test_tangent_data_multiple_directions():
-    assert tangent_data(parse_polynomial("x*y")) is MULTIPLE_DIRECTIONS
-    assert tangent_data(parse_polynomial("x^2 - y^2")) is MULTIPLE_DIRECTIONS
+    assert tangent_data(parse_polynomial("x*y")) is None
+    assert tangent_data(parse_polynomial("x^2 - y^2")) is None
     # tangent cone y^2 hides the split until the strict transform
     f = parse_polynomial("y^2 - x^2*y")
-    assert tangent_data(f) == PurePower(Slope(Fraction(0)))
+    assert tangent_data(f) == Slope(Fraction(0))
     g = strict_transform_once(f).strict_transform
-    assert tangent_data(g) is MULTIPLE_DIRECTIONS
+    assert tangent_data(g) is None
 
 
 # -- single blowups ------------------------------------------------------
