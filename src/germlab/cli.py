@@ -11,13 +11,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Optional
 
 from .compare import not_smoother
 from .errors import CorpusFormatError, GermError
-from .invariants import InvariantReport, LawCheck, _stages, germ_report, verify_branch
+from .invariants import InvariantReport, _stages, germ_report, verify_branch
 from .polynomials import DEFAULT_DEGREE_CAP, parse_polynomial
 from .resolution import characteristic_from_sequence, resolve_branch
 
@@ -56,69 +56,37 @@ def _report_payload(
     }
 
 
-def _law_check_payload(stage: int, check: LawCheck) -> dict:
-    return {
-        "stage": stage,
-        "multiplicity": check.multiplicity,
-        "mu_before": check.mu_before,
-        "tau_before": check.tau_before,
-        "mu_after": check.mu_after,
-        "tau_after": check.tau_after,
-        "dmin_bound": check.dmin_bound,
-        "mu_drop_exact": check.mu_drop_exact,
-        "tau_drop_bounded": check.tau_drop_bounded,
-        "monotone_increased": check.monotone_increased,
-        "all_ok": check.all_ok,
-    }
+def _cell(value: object) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
-def _emit_json(payload: object) -> None:
-    print(json.dumps(payload, indent=2))
+def _report_lines(report: InvariantReport, payload: dict) -> list[str]:
+    """One table row per report field, then the law checks and the theorem chain."""
+    rows = dict(payload, puiseux_characteristic=report.characteristic)
+    law_checks, chain = rows.pop("law_checks"), rows.pop("theorem_chain")
+    width = max(map(len, rows))
+    lines = [f"{key:<{width}}  {_cell(value)}" for key, value in rows.items()]
+    for c in law_checks or ():
+        lines.append(
+            f"law check stage {c['stage']}: m={c['multiplicity']}"
+            f" mu {c['mu_before']}->{c['mu_after']}"
+            f" tau {c['tau_before']}->{c['tau_after']}"
+            f" dmin_bound={c['dmin_bound']}"
+            f" mu_drop_exact={_cell(c['mu_drop_exact'])}"
+            f" tau_drop_bounded={_cell(c['tau_drop_bounded'])}"
+            f" monotone_increased={_cell(c['monotone_increased'])}"
+        )
+    if chain is not None:
+        lines.append(f"theorem chain: {chain}")
+    return lines
 
 
-def _bool_str(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _print_report_table(
-    report: InvariantReport,
-    law_checks: Optional[list[LawCheck]] = None,
-    theorem_chain: Optional[list[int]] = None,
-) -> None:
-    char = report.characteristic
-    rows = [
-        ("input", str(report.input)),
-        ("multiplicity", str(report.multiplicity)),
-        ("milnor", str(report.milnor)),
-        ("tjurina", str(report.tjurina)),
-        ("monotone", str(report.monotone)),
-        ("differential_gap", str(report.differential_gap)),
-        ("is_branch", _bool_str(report.is_branch)),
-        ("delta", "-" if report.delta is None else str(report.delta)),
-        ("puiseux_characteristic", str(char) if char is not None else "-"),
-        (
-            "multiplicity_sequence",
-            "-"
-            if report.multiplicity_sequence is None
-            else str(list(report.multiplicity_sequence)),
-        ),
-    ]
-    width = max(len(k) for k, _ in rows)
-    for key, value in rows:
-        print(f"{key:<{width}}  {value}")
-    if law_checks is not None:
-        for stage, check in enumerate(law_checks):
-            print(
-                f"law check stage {stage}: m={check.multiplicity}"
-                f" mu {check.mu_before}->{check.mu_after}"
-                f" tau {check.tau_before}->{check.tau_after}"
-                f" dmin_bound={check.dmin_bound}"
-                f" mu_drop_exact={_bool_str(check.mu_drop_exact)}"
-                f" tau_drop_bounded={_bool_str(check.tau_drop_bounded)}"
-                f" monotone_increased={_bool_str(check.monotone_increased)}"
-            )
-    if theorem_chain is not None:
-        print(f"theorem chain: {theorem_chain}")
+def _emit(args: argparse.Namespace, payload: object, lines: list[str]) -> None:
+    print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
 
 
 # -- corpus handling ---------------------------------------------------------
@@ -219,25 +187,23 @@ def _run_corpus_entry(entry: CorpusEntry, max_degree: int) -> dict:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     poly = parse_polynomial(args.polynomial, max_degree=args.max_degree)
     report = germ_report(poly)
-    if args.format == "json":
-        _emit_json(_report_payload(report))
-    else:
-        _print_report_table(report)
+    payload = _report_payload(report)
+    _emit(args, payload, _report_lines(report, payload))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     poly = parse_polynomial(args.polynomial, max_degree=args.max_degree)
     report, checks, chain = verify_branch(poly)
-    if args.format == "json":
-        payload = _report_payload(
-            report,
-            law_checks=[_law_check_payload(i, c) for i, c in enumerate(checks)],
-            theorem_chain=chain,
-        )
-        _emit_json(payload)
-    else:
-        _print_report_table(report, law_checks=checks, theorem_chain=chain)
+    payload = _report_payload(
+        report,
+        law_checks=[
+            {"stage": i, **asdict(check), "all_ok": check.all_ok}
+            for i, check in enumerate(checks)
+        ],
+        theorem_chain=chain,
+    )
+    _emit(args, payload, _report_lines(report, payload))
     return 0
 
 
@@ -246,37 +212,37 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     sequence = resolve_branch(poly)
     char = characteristic_from_sequence(sequence)
     _, chain = _stages(poly, sequence)
-    if args.format == "json":
-        payload = {
-            "input": str(poly),
-            "steps": [
-                {
-                    "chart": step.chart,
-                    "direction": str(step.direction),
-                    "multiplicity": step.multiplicity_before,
-                    "strict_transform": str(step.strict_transform),
-                }
-                for step in sequence.steps
-            ],
-            "multiplicity_sequence": list(sequence.multiplicity_sequence),
-            "puiseux_characteristic": {"m": char.m, "betas": list(char.betas)},
-            "final_smooth": str(sequence.final_smooth),
-            "theorem_chain": chain,
-        }
-        _emit_json(payload)
-    else:
-        print(f"input: {poly}")
-        for number, step in enumerate(sequence.steps, 1):
-            print(
-                f"step {number}: chart={step.chart}"
-                f" direction=\"{step.direction}\""
-                f" multiplicity={step.multiplicity_before}"
-                f" strict_transform=\"{step.strict_transform}\""
-            )
-        print(f"multiplicity sequence: {list(sequence.multiplicity_sequence)}")
-        print(f"puiseux characteristic: {char}")
-        print(f"final smooth germ: {sequence.final_smooth}")
-        print(f"theorem chain: {chain}")
+    payload = {
+        "input": str(poly),
+        "steps": [
+            {
+                "chart": step.chart,
+                "direction": str(step.direction),
+                "multiplicity": step.multiplicity_before,
+                "strict_transform": str(step.strict_transform),
+            }
+            for step in sequence.steps
+        ],
+        "multiplicity_sequence": list(sequence.multiplicity_sequence),
+        "puiseux_characteristic": {"m": char.m, "betas": list(char.betas)},
+        "final_smooth": str(sequence.final_smooth),
+        "theorem_chain": chain,
+    }
+    lines = [f"input: {poly}"]
+    for number, step in enumerate(payload["steps"], 1):
+        lines.append(
+            f"step {number}: chart={step['chart']}"
+            f" direction=\"{step['direction']}\""
+            f" multiplicity={step['multiplicity']}"
+            f" strict_transform=\"{step['strict_transform']}\""
+        )
+    lines += [
+        f"multiplicity sequence: {payload['multiplicity_sequence']}",
+        f"puiseux characteristic: {char}",
+        f"final smooth germ: {sequence.final_smooth}",
+        f"theorem chain: {chain}",
+    ]
+    _emit(args, payload, lines)
     return 0
 
 
@@ -284,28 +250,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     left = parse_polynomial(args.left, max_degree=args.max_degree)
     right = parse_polynomial(args.right, max_degree=args.max_degree)
     verdict = not_smoother(left, right)
-    if args.format == "json":
-        payload = {
-            "left": _report_payload(verdict.left),
-            "right": _report_payload(verdict.right),
-            "verdict": verdict.verdict,
-            "reasons": list(verdict.reasons),
-        }
-        _emit_json(payload)
-    else:
-        print(f"verdict: {verdict.verdict}")
-        for reason in verdict.reasons:
-            print(f"reason: {reason}")
-        print(
-            f"left:  {verdict.left.input}"
-            f" (milnor={verdict.left.milnor}, tjurina={verdict.left.tjurina},"
-            f" monotone={verdict.left.monotone})"
+    payload = {
+        "left": _report_payload(verdict.left),
+        "right": _report_payload(verdict.right),
+        "verdict": verdict.verdict,
+        "reasons": list(verdict.reasons),
+    }
+    lines = [f"verdict: {verdict.verdict}"]
+    lines += [f"reason: {reason}" for reason in verdict.reasons]
+    for side in ("left", "right"):
+        r = payload[side]
+        lines.append(
+            f"{side + ':':<6} {r['input']}"
+            f" (milnor={r['milnor']}, tjurina={r['tjurina']}, monotone={r['monotone']})"
         )
-        print(
-            f"right: {verdict.right.input}"
-            f" (milnor={verdict.right.milnor}, tjurina={verdict.right.tjurina},"
-            f" monotone={verdict.right.monotone})"
-        )
+    _emit(args, payload, lines)
     return 0
 
 
@@ -315,32 +274,30 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     results.sort(key=lambda r: r["id"])
     errors = [r for r in results if r["error"] is not None]
     mismatched = [r for r in results if r["mismatches"]]
-    if args.format == "json":
-        payload = {
-            "entries": results,
-            "summary": {
-                "total": len(results),
-                "errors": len(errors),
-                "mismatched": len(mismatched),
-            },
-        }
-        _emit_json(payload)
-    else:
-        if results:
-            width = max(len(r["id"]) for r in results)
-            for r in results:
-                if r["error"] is not None:
-                    status, notes = "ERROR", r["error"]
-                elif r["mismatches"]:
-                    status, notes = "MISMATCH", "; ".join(r["mismatches"])
-                else:
-                    status, notes = "ok", ""
-                line = f"{r['id']:<{width}}  {status}"
-                print(f"{line}  {notes}" if notes else line)
-        print(
-            f"summary: {len(results)} entries,"
-            f" {len(errors)} errors, {len(mismatched)} mismatches"
-        )
+    payload = {
+        "entries": results,
+        "summary": {
+            "total": len(results),
+            "errors": len(errors),
+            "mismatched": len(mismatched),
+        },
+    }
+    width = max((len(r["id"]) for r in results), default=0)
+    lines = []
+    for r in results:
+        if r["error"] is not None:
+            status, notes = "ERROR", r["error"]
+        elif r["mismatches"]:
+            status, notes = "MISMATCH", "; ".join(r["mismatches"])
+        else:
+            status, notes = "ok", ""
+        line = f"{r['id']:<{width}}  {status}"
+        lines.append(f"{line}  {notes}" if notes else line)
+    lines.append(
+        f"summary: {len(results)} entries,"
+        f" {len(errors)} errors, {len(mismatched)} mismatches"
+    )
+    _emit(args, payload, lines)
     if errors:
         return 2
     if mismatched:
@@ -377,34 +334,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_analyze = sub.add_parser(
-        "analyze", parents=[common], help="invariants of one germ"
-    )
-    p_analyze.add_argument("polynomial")
-    p_analyze.set_defaults(func=_cmd_analyze)
-
-    p_resolve = sub.add_parser(
-        "resolve", parents=[common], help="blow up a branch until smooth"
-    )
-    p_resolve.add_argument("polynomial")
-    p_resolve.set_defaults(func=_cmd_resolve)
-
-    p_compare = sub.add_parser(
-        "compare",
-        parents=[common],
-        help="try to refute 'left is smoother than right'",
-    )
-    p_compare.add_argument("left")
-    p_compare.add_argument("right")
-    p_compare.set_defaults(func=_cmd_compare)
-
-    p_verify = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="analyze plus per-blowup law checks and the monotone chain",
-    )
-    p_verify.add_argument("polynomial")
-    p_verify.set_defaults(func=_cmd_verify)
+    for name, func, help_text, positionals in (
+        ("analyze", _cmd_analyze, "invariants of one germ", ("polynomial",)),
+        ("resolve", _cmd_resolve, "blow up a branch until smooth", ("polynomial",)),
+        (
+            "compare",
+            _cmd_compare,
+            "try to refute 'left is smoother than right'",
+            ("left", "right"),
+        ),
+        (
+            "verify",
+            _cmd_verify,
+            "analyze plus per-blowup law checks and the monotone chain",
+            ("polynomial",),
+        ),
+    ):
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        for positional in positionals:
+            command.add_argument(positional)
+        command.set_defaults(func=func)
 
     p_corpus = sub.add_parser(
         "corpus", parents=[common], help="run a corpus file and check expectations"

@@ -351,108 +351,83 @@ def _tokenize(text: str) -> list[tuple[str, object]]:
     return tokens
 
 
-class _Parser:
-    """Recursive-descent parser for sums of signed rational-coefficient monomials."""
+def _parse_terms(tokens: list[tuple[str, object]]) -> dict[Exponent, Fraction]:
+    """Sum the signed rational-coefficient monomials of a token list."""
+    tokens = tokens + [(None, None)]
+    signs = (("op", "+"), ("op", "-"))
 
-    def __init__(self, tokens: list[tuple[str, object]]):
-        self.tokens = tokens
-        self.pos = 0
+    def integer_after(op: str, message: str) -> Optional[int]:
+        # the integer after `op` when `op` comes next, else None
+        nonlocal pos
+        if tokens[pos] != ("op", op):
+            return None
+        kind, val = tokens[pos + 1]
+        if kind != "int":
+            raise ParseError(message)
+        pos += 2
+        return val
 
-    def peek(self) -> tuple[str | None, object]:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None, None
-
-    def advance(self) -> None:
-        self.pos += 1
-
-    def parse(self) -> dict[Exponent, Fraction]:
-        terms: dict[Exponent, Fraction] = {}
-        sign = 1
-        kind, val = self.peek()
-        if kind == "op" and val in ("+", "-"):
-            self.advance()
-            sign = -1 if val == "-" else 1
-        while True:
-            coef, expo = self.term()
-            c = terms.get(expo, Fraction(0)) + sign * coef
-            if c:
-                terms[expo] = c
-            elif expo in terms:
-                del terms[expo]
-            kind, val = self.peek()
-            if kind is None:
-                return terms
-            if kind == "op" and val in ("+", "-"):
-                self.advance()
-                sign = -1 if val == "-" else 1
-                continue
-            raise ParseError(f"expected '+' or '-' before token {val!r}")
-
-    def term(self) -> tuple[Fraction, Exponent]:
+    terms: dict[Exponent, Fraction] = {}
+    sign = -1 if tokens[0] == ("op", "-") else 1
+    pos = 1 if tokens[0] in signs else 0
+    while True:
         coef: Fraction | None = None
+        kind, val = tokens[pos]
+        if kind == "int":
+            pos += 1
+            den = integer_after("/", "expected an integer denominator after '/'")
+            if den == 0:
+                raise ParseError("zero denominator in coefficient")
+            coef = Fraction(val, 1 if den is None else den)
+
         ex = ey = 0
         have_factor = False
-
-        kind, val = self.peek()
-        if kind == "int":
-            self.advance()
-            num = val
-            kind2, val2 = self.peek()
-            if kind2 == "op" and val2 == "/":
-                self.advance()
-                kind3, val3 = self.peek()
-                if kind3 != "int":
-                    raise ParseError("expected an integer denominator after '/'")
-                self.advance()
-                if val3 == 0:
-                    raise ParseError("zero denominator in coefficient")
-                coef = Fraction(num, val3)
-            else:
-                coef = Fraction(num)
-
         while True:
-            kind, val = self.peek()
-            starred = False
-            if kind == "op" and val == "*":
+            kind, val = tokens[pos]
+            starred = kind == "op" and val == "*"
+            if starred:
                 if coef is None and not have_factor:
                     raise ParseError("'*' cannot start a term")
-                self.advance()
-                starred = True
-                kind, val = self.peek()
-            if kind == "name":
-                self.advance()
-                if val not in ("x", "y"):
-                    raise UnknownVariableError(
-                        f"unknown variable {val!r}; only x and y are allowed"
-                    )
+                pos += 1
+                kind, val = tokens[pos]
+            if kind != "name":
+                if starred:
+                    raise ParseError("dangling '*' with no factor after it")
+                break
+            pos += 1
+            if val not in ("x", "y"):
+                raise UnknownVariableError(
+                    f"unknown variable {val!r}; only x and y are allowed"
+                )
+            e = integer_after("^", "expected an integer exponent after '^'")
+            if e is None:
                 e = 1
-                kind2, val2 = self.peek()
-                if kind2 == "op" and val2 == "^":
-                    self.advance()
-                    kind3, val3 = self.peek()
-                    if kind3 != "int":
-                        raise ParseError("expected an integer exponent after '^'")
-                    self.advance()
-                    if val3 < 1:
-                        raise ParseError("exponent must be a positive integer")
-                    e = val3
-                if val == "x":
-                    ex += e
-                else:
-                    ey += e
-                have_factor = True
-                continue
-            if starred:
-                raise ParseError("dangling '*' with no factor after it")
-            break
+            elif e < 1:
+                raise ParseError("exponent must be a positive integer")
+            if val == "x":
+                ex += e
+            else:
+                ey += e
+            have_factor = True
 
         if coef is None and not have_factor:
-            kind, val = self.peek()
             if kind is None:
                 raise ParseError("unexpected end of input where a term was expected")
             raise ParseError(f"unexpected token {val!r} where a term was expected")
-        return (coef if coef is not None else Fraction(1)), (ex, ey)
+        expo = (ex, ey)
+        c = terms.get(expo, Fraction(0)) + sign * (1 if coef is None else coef)
+        if c:
+            terms[expo] = c
+        elif expo in terms:
+            del terms[expo]
+
+        kind, val = tokens[pos]
+        if kind is None:
+            return terms
+        if (kind, val) not in signs:
+            raise ParseError(f"expected '+' or '-' before token {val!r}")
+        sign = -1 if val == "-" else 1
+        pos += 1
 
 
 def parse_polynomial(text: str, max_degree: int = DEFAULT_DEGREE_CAP) -> Polynomial:
@@ -466,7 +441,7 @@ def parse_polynomial(text: str, max_degree: int = DEFAULT_DEGREE_CAP) -> Polynom
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input")
-    terms = _Parser(tokens).parse()
+    terms = _parse_terms(tokens)
     poly = Polynomial._raw(terms)
     if poly and poly.total_degree() > max_degree:
         raise DegreeCapError(

@@ -395,3 +395,108 @@ def test_corpus_json_summary(capsys):
     assert payload["summary"] == {"total": 4, "errors": 0, "mismatched": 0}
     ids = [entry["id"] for entry in payload["entries"]]
     assert ids == sorted(ids)
+
+
+# -- whole output --------------------------------------------------------------
+
+WHOLE_OUTPUT = {
+    ("analyze", "y^2 - x^3"): """\
+input                   y^2 - x^3
+multiplicity            2
+milnor                  2
+tjurina                 2
+monotone                -2
+differential_gap        1
+is_branch               true
+delta                   1
+puiseux_characteristic  (2; 3)
+multiplicity_sequence   [2]
+""",
+    ("analyze", "x^11+y^11+x^6*y^6"): """\
+input                   y^11 + x^11 + x^6*y^6
+multiplicity            11
+milnor                  100
+tjurina                 84
+monotone                -36
+differential_gap        34
+is_branch               false
+delta                   -
+puiseux_characteristic  -
+multiplicity_sequence   -
+""",
+    ("verify", "x^3+y^5"): """\
+input                   x^3 + y^5
+multiplicity            3
+milnor                  8
+tjurina                 8
+monotone                -8
+differential_gap        4
+is_branch               true
+delta                   4
+puiseux_characteristic  (3; 5)
+multiplicity_sequence   [3, 2]
+law check stage 0: m=3 mu 8->2 tau 8->2 dmin_bound=2 mu_drop_exact=true \
+tau_drop_bounded=true monotone_increased=true
+law check stage 1: m=2 mu 2->0 tau 2->0 dmin_bound=1 mu_drop_exact=true \
+tau_drop_bounded=true monotone_increased=true
+theorem chain: [-8, -2, 0]
+""",
+    ("resolve", "x^3+y^5"): """\
+input: x^3 + y^5
+step 1: chart=y direction="x = 0" multiplicity=3 strict_transform="x^2 + y^3"
+step 2: chart=y direction="x = 0" multiplicity=2 strict_transform="x + y^2"
+multiplicity sequence: [3, 2]
+puiseux characteristic: (3; 5)
+final smooth germ: x + y^2
+theorem chain: [-8, -2, 0]
+""",
+    ("compare", "y^2 - x^3", "x^3+y^5"): """\
+verdict: Inconclusive
+left:  y^2 - x^3 (milnor=2, tjurina=2, monotone=-2)
+right: x^3 + y^5 (milnor=8, tjurina=8, monotone=-8)
+""",
+    ("corpus", "paper_examples"): """\
+ex_11_10  ok
+ex_11_11  ok
+ex_13_12  ok
+ex_9_9    ok
+summary: 4 entries, 0 errors, 0 mismatches
+""",
+    ("--help",): """\
+usage: germlab [-h] {analyze,resolve,compare,verify,corpus} ...
+
+Exact invariants and blowup resolutions of plane curve germs.
+
+positional arguments:
+  {analyze,resolve,compare,verify,corpus}
+    analyze             invariants of one germ
+    resolve             blow up a branch until smooth
+    compare             try to refute 'left is smoother than right'
+    verify              analyze plus per-blowup law checks and the monotone
+                        chain
+    corpus              run a corpus file and check expectations
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("corpus", "--help"): """\
+usage: germlab corpus [-h] [--format {json,table}] [--max-degree D] [--jobs N]
+                      path
+
+positional arguments:
+  path                  corpus file path or bundled corpus name
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,table}
+                        output format
+  --max-degree D        reject inputs of total degree above D
+  --jobs N              ignored; entries run in order
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(WHOLE_OUTPUT), ids=" ".join)
+def test_whole_table_and_help_output(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    assert run(capsys, *argv) == (0, WHOLE_OUTPUT[argv], "")

@@ -35,6 +35,13 @@ def test_terms_are_canonical():
     assert p.coefficient(5, 5) == 0
 
 
+def test_constructor_merges_repeated_exponents_and_rejects_bad_ones():
+    assert Polynomial([((1, 0), 1), ((1, 0), -1)]).is_zero()
+    assert Polynomial([((1, 0), 1), ((1, 0), 2)]) == 3 * X
+    with pytest.raises(ValueError, match=r"bad exponent pair \(-1, 0\)"):
+        Polynomial({(-1, 0): 1})
+
+
 def test_zero_polynomial():
     assert ZERO.is_zero()
     assert not ZERO
@@ -202,11 +209,31 @@ def test_parse_cancellation():
     assert parse_polynomial("x*y - x*y").is_zero()
 
 
-def test_parse_errors():
-    for bad in ["", "  ", "x +", "^2", "x^", "x^0", "x^-2", "* x", "x *",
-                "1/0", "x++y", "(x+y)", "x + + y"]:
-        with pytest.raises(ParseError):
-            parse_polynomial(bad)
+PARSE_ERRORS = {
+    "": (ParseError, "empty input"),
+    "  ": (ParseError, "empty input"),
+    "x +": (ParseError, "unexpected end of input where a term was expected"),
+    "^2": (ParseError, "unexpected token '^' where a term was expected"),
+    "x^": (ParseError, "expected an integer exponent after '^'"),
+    "x^0": (ParseError, "exponent must be a positive integer"),
+    "x^-2": (ParseError, "expected an integer exponent after '^'"),
+    "* x": (ParseError, "'*' cannot start a term"),
+    "x *": (ParseError, "dangling '*' with no factor after it"),
+    "1/0": (ParseError, "zero denominator in coefficient"),
+    "x++y": (ParseError, "unexpected token '+' where a term was expected"),
+    "(x+y)": (ParseError, "unexpected character '(' in '(x+y)'"),
+    "x + + y": (ParseError, "unexpected token '+' where a term was expected"),
+    "x + z": (UnknownVariableError, "unknown variable 'z'; only x and y are allowed"),
+    "2 3": (ParseError, "expected '+' or '-' before token 3"),
+    "1/x": (ParseError, "expected an integer denominator after '/'"),
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS), ids=repr)
+def test_parse_errors(text):
+    with pytest.raises(ParseError) as caught:
+        parse_polynomial(text)
+    assert (type(caught.value), str(caught.value)) == PARSE_ERRORS[text]
 
 
 def test_parse_unknown_variable():

@@ -241,6 +241,13 @@ def test_characteristic_from_sequence_rejects():
         characteristic_from_sequence([1, 2])
     with pytest.raises(InconsistentSequenceError):
         characteristic_from_sequence([3, 0])
+    # the reconstructed exponents fail PuiseuxCharacteristic's own check
+    for seq in ([4, 2], [6, 3]):
+        with pytest.raises(
+            InconsistentSequenceError, match="exponents must strictly increase"
+        ) as caught:
+            characteristic_from_sequence(seq)
+        assert isinstance(caught.value.__cause__, InvalidCharacteristicError)
 
 
 def test_round_trip_small_enumeration():
