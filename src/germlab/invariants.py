@@ -17,7 +17,8 @@ from .errors import (
     SmoothGermError,
     ZeroPolynomialError,
 )
-from .localalg import milnor_number, tjurina_number
+# milnor_number stays bound here: perfbench's tracer wraps it under this name
+from .localalg import milnor_number, milnor_tjurina  # noqa: F401
 from .polynomials import Polynomial
 from .resolution import (
     PuiseuxCharacteristic,
@@ -57,8 +58,7 @@ def _report_and_resolution(
     """germ_report's work, with the resolution or the error that refused it."""
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial defines no germ")
-    mu = milnor_number(f)
-    tau = tjurina_number(f)
+    mu, tau = milnor_tjurina(f)
     resolution: ResolutionSequence | NotABranchError
     try:
         resolution = resolve_branch(f)
@@ -171,13 +171,7 @@ def blowup_law_check(f: Polynomial) -> LawCheck:
     resolve_branch(f)  # raises NotABranchError for reducible germs
     step = strict_transform_once(f)  # raises NotSingularError for smooth germs
     g = step.strict_transform
-    return _law_check(
-        step.multiplicity_before,
-        milnor_number(f),
-        tjurina_number(f),
-        milnor_number(g),
-        tjurina_number(g),
-    )
+    return _law_check(step.multiplicity_before, *milnor_tjurina(f), *milnor_tjurina(g))
 
 
 def _stages(
@@ -190,12 +184,12 @@ def _stages(
     Computes mu and tau once per stage; ``first`` is stage 0's (mu, tau)
     when the caller already has them.
     """
-    mu0, tau0 = first if first is not None else (milnor_number(f), tjurina_number(f))
+    mu0, tau0 = first if first is not None else milnor_tjurina(f)
     checks: list[LawCheck] = []
     chain = [3 * mu0 - 4 * tau0]
     for step in sequence.steps:
         g = step.strict_transform
-        mu1, tau1 = milnor_number(g), tjurina_number(g)
+        mu1, tau1 = milnor_tjurina(g)
         checks.append(_law_check(step.multiplicity_before, mu0, tau0, mu1, tau1))
         chain.append(3 * mu1 - 4 * tau1)
         mu0, tau0 = mu1, tau1

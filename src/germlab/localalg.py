@@ -10,6 +10,8 @@ Two independent colength computations live here on purpose:
 
 * ``standard_basis`` + ``colength`` count the staircase of the leading ideal
   computed by Mora's tangent cone algorithm (exact, complete);
+  ``milnor_tjurina`` gets tau by extending mu's standard basis with f
+  instead of completing the Tjurina ideal from scratch;
 * ``colength_oracle`` computes the codimension of a degree-truncated ideal by
   integer Gaussian elimination, certifying exactness via stability at two
   consecutive caps.
@@ -23,7 +25,7 @@ is meaningful.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -169,6 +171,9 @@ class StandardBasis:
 
     generators: tuple[Polynomial, ...]
     leading_exponents: frozenset[Exponent]
+    #: every entry of the completed kernel pool, redundant ones included;
+    #: milnor_tjurina extends it by one more generator
+    pool: tuple[PoolEntry, ...] = field(default=(), repr=False, compare=False)
 
 
 # The Mora kernel codes the monomial x^i y^j as the integer (i + j) * 2**32 - i.
@@ -287,34 +292,26 @@ def _s_polynomial(f: PoolEntry, g: PoolEntry) -> tuple[CodeTerms, int | None]:
     return _reduce_leading({k + shift: c for k, c in f_terms.items()}, lcm, g_terms, g_lead)
 
 
-def standard_basis(generators: Iterable[Polynomial]) -> StandardBasis:
-    """Complete the generators to a standard basis for the local order.
+def _entry(p: Polynomial) -> PoolEntry:
+    terms = {_encode(k): c for k, c in _to_int_terms(p).items()}
+    return _pool_entry(terms, min(terms))
 
-    Buchberger-style completion using Mora normal forms. Pairs are processed
+
+def _complete(pool: list[PoolEntry], first_new: int) -> None:
+    """Complete the pool in place to a standard basis for the local order.
+
+    ``pool[:first_new]`` must already be a standard basis, so only the pairs
+    with an entry at ``first_new`` or later are queued. Pairs are processed
     in increasing order of the total degree of the lcm of leading monomials,
     which keeps the run deterministic.
     """
-    pool: list[PoolEntry] = []
-    for p in generators:
-        if not p.is_zero():
-            terms = {_encode(k): c for k, c in _to_int_terms(p).items()}
-            pool.append(_pool_entry(terms, min(terms)))
-    if not pool:
-        raise ZeroIdealError("all generators are zero")
-    # a unit generator spans the whole local ring; Mora reduction by a unit
-    # never halts early, so short-circuit instead of completing
-    if any(entry[1] == 0 for entry in pool):
-        return StandardBasis(
-            generators=(Polynomial({(0, 0): 1}),),
-            leading_exponents=frozenset([(0, 0)]),
-        )
 
     def pair_key(i: int, j: int) -> tuple[int, int, int, int]:
         li, lj = max(pool[i][2], pool[j][2]), max(pool[i][3], pool[j][3])
         return (li + lj, li, i, j)
 
     queue: list[tuple[tuple[int, int, int, int], int, int]] = []
-    for j in range(len(pool)):
+    for j in range(first_new, len(pool)):
         for i in range(j):
             heapq.heappush(queue, (pair_key(i, j), i, j))
 
@@ -331,7 +328,9 @@ def standard_basis(generators: Iterable[Polynomial]) -> StandardBasis:
         for k in range(new):
             heapq.heappush(queue, (pair_key(k, new), k, new))
 
-    # keep one generator per minimal leading exponent
+
+def _minimal_basis(pool: list[PoolEntry]) -> StandardBasis:
+    """One generator per minimal leading exponent of a completed pool."""
     lead = [(entry[2], entry[3]) for entry in pool]
     keep: list[int] = []
     for idx, lm in enumerate(lead):
@@ -350,7 +349,28 @@ def standard_basis(generators: Iterable[Polynomial]) -> StandardBasis:
             for idx in keep
         ),
         leading_exponents=frozenset(lead[idx] for idx in keep),
+        pool=tuple(pool),
     )
+
+
+def standard_basis(generators: Iterable[Polynomial]) -> StandardBasis:
+    """Complete the generators to a standard basis for the local order.
+
+    Buchberger-style completion using Mora normal forms over every pair of
+    generators.
+    """
+    pool = [_entry(p) for p in generators if not p.is_zero()]
+    if not pool:
+        raise ZeroIdealError("all generators are zero")
+    # a unit generator spans the whole local ring; Mora reduction by a unit
+    # never halts early, so short-circuit instead of completing
+    if any(entry[1] == 0 for entry in pool):
+        return StandardBasis(
+            generators=(Polynomial({(0, 0): 1}),),
+            leading_exponents=frozenset([(0, 0)]),
+        )
+    _complete(pool, 1)
+    return _minimal_basis(pool)
 
 
 def colength(basis: StandardBasis):
@@ -411,3 +431,32 @@ def tjurina_number(f: Polynomial) -> int:
     if value is INFINITE:
         raise NonIsolatedSingularityError("the singular locus is not isolated")
     return value
+
+
+def milnor_tjurina(f: Polynomial) -> tuple[int, int]:
+    """(milnor_number(f), tjurina_number(f)) from one completion.
+
+    The Tjurina ideal is the Jacobian ideal plus f, so tau extends the
+    Jacobian standard basis by the Mora normal form of f and completes only
+    the pairs with that new entry; f in the Jacobian ideal (the
+    quasi-homogeneous germs) gives tau = mu at once. The extension reduces
+    against the whole Jacobian pool: against its minimal generators alone it
+    diverges on x^3 + y^7 + 3x^3y^2 - xy^5 - 3x^3y^3 - 2xy^6, which both
+    single-number routes answer in milliseconds.
+    """
+    _require_germ(f)
+    g = _align_tangent_cone(f)
+    jacobian = standard_basis(g.partials())
+    mu = colength(jacobian)
+    if mu is INFINITE:
+        raise NonIsolatedSingularityError("the critical locus is not isolated")
+    if mu == 0:
+        return 0, 0
+    pool = list(jacobian.pool)
+    h = _entry(g)
+    remainder, lead = _mora_normal_form(h[0], h[1], pool)
+    if not remainder:
+        return mu, mu
+    pool.append(_pool_entry(remainder, lead))
+    _complete(pool, len(pool) - 1)
+    return mu, colength(_minimal_basis(pool))

@@ -189,6 +189,7 @@ THREE_BLOWUPS = "y^4 - 2*x^3*y^2 - 4*x^5*y + x^6 - x^7"
 COUNTED = {
     "milnor_number": localalg.milnor_number,
     "tjurina_number": localalg.tjurina_number,
+    "milnor_tjurina": localalg.milnor_tjurina,
     "resolve_branch": resolution.resolve_branch,
 }
 
@@ -216,14 +217,14 @@ def call_counts(monkeypatch):
 @pytest.mark.parametrize(
     "argv,expected",
     [
-        (("verify", THREE_BLOWUPS), (4, 4, 1)),
-        (("resolve", THREE_BLOWUPS), (4, 4, 1)),
-        (("analyze", THREE_BLOWUPS), (1, 1, 1)),
-        (("compare", THREE_BLOWUPS, "y^2 - x^3"), (2, 2, 2)),
+        (("verify", THREE_BLOWUPS), (0, 0, 4, 1)),
+        (("resolve", THREE_BLOWUPS), (0, 0, 4, 1)),
+        (("analyze", THREE_BLOWUPS), (0, 0, 1, 1)),
+        (("compare", THREE_BLOWUPS, "y^2 - x^3"), (0, 0, 2, 2)),
     ],
 )
 def test_each_stage_is_computed_once(call_counts, capsys, argv, expected):
-    # mu, tau, resolve_branch
+    # mu, tau, (mu, tau) together, resolve_branch
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert tuple(call_counts.values()) == expected
@@ -338,14 +339,14 @@ def test_corpus_domain_error_exit_two(tmp_path, capsys):
 
 
 def test_reduction_step_budget_is_a_domain_error(monkeypatch, tmp_path, capsys):
-    # the cusp needs at most 3 steps per normal form, x^3 + y^7 + x*y^5 more
+    # the cusp needs at most 2 steps per normal form, x^3 + y^7 + x*y^6 11
     monkeypatch.setattr(localalg, "_REDUCTION_STEP_LIMIT", 3)
-    code, out, err = run(capsys, "analyze", "x^3 + y^7 + x*y^5")
+    code, out, err = run(capsys, "analyze", "x^3 + y^7 + x*y^6")
     assert (code, out) == (2, "")
     assert "ComputationBudgetError: normal form did not terminate" in err
     path = tmp_path / "budget.corpus"
     path.write_text(
-        "a\ty^2 - x^3\tmilnor=2\nb\tx^3 + y^7 + x*y^5\nc\tx^2 + y^3\n", encoding="utf-8"
+        "a\ty^2 - x^3\tmilnor=2\nb\tx^3 + y^7 + x*y^6\nc\tx^2 + y^3\n", encoding="utf-8"
     )
     code, out, _ = run(capsys, "corpus", str(path), "--format", "json")
     assert code == 2
