@@ -11,7 +11,10 @@ Two independent colength computations live here on purpose:
 * ``standard_basis`` + ``colength`` count the staircase of the leading ideal
   computed by Mora's tangent cone algorithm (exact, complete);
   ``milnor_tjurina`` gets tau by extending mu's standard basis with f
-  instead of completing the Tjurina ideal from scratch;
+  instead of completing the Tjurina ideal from scratch, and drops every term
+  at or above the highest corner D of that basis (m^D lies in the Jacobian
+  ideal), so each normal form of the extension ends within D(D+1)/2 steps;
+  mu itself and the oracle are never cut;
 * ``colength_oracle`` computes the codimension of a degree-truncated ideal by
   integer Gaussian elimination, certifying exactness via stability at two
   consecutive caps.
@@ -25,10 +28,10 @@ is meaningful.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import (
     ComputationBudgetError,
@@ -171,17 +174,18 @@ class StandardBasis:
 
     generators: tuple[Polynomial, ...]
     leading_exponents: frozenset[Exponent]
-    #: every entry of the completed kernel pool, redundant ones included;
-    #: milnor_tjurina extends it by one more generator
-    pool: tuple[PoolEntry, ...] = field(default=(), repr=False, compare=False)
 
 
 # The Mora kernel codes the monomial x^i y^j as the integer (i + j) * 2**32 - i.
 # For every x-degree below 2**32 integer order is then exactly the local order
 # (the smallest code is the leading monomial, the largest has the top degree),
-# and multiplying two monomials adds their codes.
+# and multiplying two monomials adds their codes.  The monomials of degree >= D
+# are exactly the codes >= (D << 32) - D, so cutting them off at a highest
+# corner D is one comparison per term.
 _SHIFT = 32
 _BELOW = (1 << _SHIFT) - 1
+# a cut above every code in use: nothing is dropped
+_NO_CUT = 1 << (2 * _SHIFT)
 
 CodeTerms = dict[int, int]
 # a reducer with its cached leading data: terms, leading code, leading
@@ -228,9 +232,12 @@ def _pool_entry(terms: CodeTerms, lead: int) -> PoolEntry:
 
 
 def _reduce_leading(
-    h: CodeTerms, lead_h: int, g: CodeTerms, lead_g: int
+    h: CodeTerms, lead_h: int, g: CodeTerms, lead_g: int, cut: int = _NO_CUT
 ) -> tuple[CodeTerms, int | None]:
-    """One exact reduction step: kill the leading term of h with a multiple of g."""
+    """One exact reduction step: kill the leading term of h with a multiple of g.
+
+    Terms of the multiple at or above ``cut`` are dropped; h must have none.
+    """
     shift = lead_h - lead_g
     a, b = g[lead_g], h[lead_h]
     # dividing both multipliers by their gcd changes only the content,
@@ -240,6 +247,8 @@ def _reduce_leading(
     out = {k: a * c for k, c in h.items()}
     for k, c in g.items():
         k += shift
+        if k >= cut:
+            continue
         v = out.get(k, 0) - b * c
         if v:
             out[k] = v
@@ -249,13 +258,14 @@ def _reduce_leading(
 
 
 def _mora_normal_form(
-    h: CodeTerms, lead: int, reducers: list[PoolEntry]
+    h: CodeTerms, lead: int, reducers: list[PoolEntry], cut: int = _NO_CUT
 ) -> tuple[CodeTerms, int | None]:
     """Mora's weak normal form of h against the reducer list.
 
     Reducers whose ecart exceeds the current remainder's are avoided when a
     better one exists; when none exists the remainder itself joins the local
     reducer pool, which is what forces termination in the local order.
+    Terms at or above ``cut`` are dropped after every step; h must have none.
     """
     pool = list(reducers)
     steps = 0
@@ -273,7 +283,7 @@ def _mora_normal_form(
         reducer_ecart = best[4][0]
         if reducer_ecart and reducer_ecart > _ecart(h, lead):
             pool.append(_pool_entry(h, lead))
-        h, lead = _reduce_leading(h, lead, best[0], best[1])
+        h, lead = _reduce_leading(h, lead, best[0], best[1], cut)
         steps += 1
         if steps > _REDUCTION_STEP_LIMIT:
             raise ComputationBudgetError(
@@ -283,27 +293,36 @@ def _mora_normal_form(
     return h, lead
 
 
-def _s_polynomial(f: PoolEntry, g: PoolEntry) -> tuple[CodeTerms, int | None]:
-    # move f to the lcm of both leading monomials, then cancel g against it
+def _s_polynomial(
+    f: PoolEntry, g: PoolEntry, cut: int = _NO_CUT
+) -> tuple[CodeTerms, int | None]:
+    # move f to the lcm of both leading monomials, then cancel g against it;
+    # every term lies at or above the lcm, so an lcm at the cut gives zero
     f_terms, f_lead, fi, fj, _ = f
     g_terms, g_lead, gi, gj, _ = g
     lcm = _encode((max(fi, gi), max(fj, gj)))
+    if lcm >= cut:
+        return {}, None
     shift = lcm - f_lead
-    return _reduce_leading({k + shift: c for k, c in f_terms.items()}, lcm, g_terms, g_lead)
+    moved = {k + shift: c for k, c in f_terms.items() if k + shift < cut}
+    return _reduce_leading(moved, lcm, g_terms, g_lead, cut)
 
 
-def _entry(p: Polynomial) -> PoolEntry:
+def _entry(p: Polynomial, cut: int = _NO_CUT) -> PoolEntry | None:
+    """The pool entry of p without its terms at or above the cut; None if none remain."""
     terms = {_encode(k): c for k, c in _to_int_terms(p).items()}
-    return _pool_entry(terms, min(terms))
+    terms, lead = _normalized({k: c for k, c in terms.items() if k < cut})
+    return None if lead is None else _pool_entry(terms, lead)
 
 
-def _complete(pool: list[PoolEntry], first_new: int) -> None:
+def _complete(pool: list[PoolEntry], first_new: int, cut: int = _NO_CUT) -> None:
     """Complete the pool in place to a standard basis for the local order.
 
     ``pool[:first_new]`` must already be a standard basis, so only the pairs
     with an entry at ``first_new`` or later are queued. Pairs are processed
     in increasing order of the total degree of the lcm of leading monomials,
-    which keeps the run deterministic.
+    which keeps the run deterministic. With a ``cut`` the pool is completed
+    modulo the monomials at or above it, and no entry may have such a term.
     """
 
     def pair_key(i: int, j: int) -> tuple[int, int, int, int]:
@@ -317,10 +336,10 @@ def _complete(pool: list[PoolEntry], first_new: int) -> None:
 
     while queue:
         _, i, j = heapq.heappop(queue)
-        s, lead = _s_polynomial(pool[i], pool[j])
+        s, lead = _s_polynomial(pool[i], pool[j], cut)
         if not s:
             continue
-        remainder, lead = _mora_normal_form(s, lead, pool)
+        remainder, lead = _mora_normal_form(s, lead, pool, cut)
         if not remainder:
             continue
         pool.append(_pool_entry(remainder, lead))
@@ -349,7 +368,6 @@ def _minimal_basis(pool: list[PoolEntry]) -> StandardBasis:
             for idx in keep
         ),
         leading_exponents=frozenset(lead[idx] for idx in keep),
-        pool=tuple(pool),
     )
 
 
@@ -379,21 +397,37 @@ def colength(basis: StandardBasis):
     Finite exactly when the leading ideal contains a pure power of x and a
     pure power of y.
     """
-    exponents = basis.leading_exponents
+    heights = _column_heights(basis.leading_exponents)
+    return INFINITE if heights is None else sum(heights)
+
+
+def _column_heights(exponents: Collection[Exponent]) -> list[int] | None:
+    """Heights h(0), ..., h(A - 1) of the staircase below a monomial ideal.
+
+    A is the smallest pure x-power among the exponents, and h(i) the smallest
+    y-degree at x-degree i or less; None when either pure power is missing.
+    """
     x_powers = [i for (i, j) in exponents if j == 0]
-    y_powers = [j for (i, j) in exponents if i == 0]
-    if not x_powers or not y_powers:
-        return INFINITE
-    count = 0
-    for column in range(min(x_powers)):
-        count += min(j for (i, j) in exponents if i <= column)
-    return count
+    if not x_powers or not any(i == 0 for (i, j) in exponents):
+        return None
+    return [min(j for (i, j) in exponents if i <= column) for column in range(min(x_powers))]
+
+
+def _highest_corner(heights: list[int]) -> int:
+    """The least D with every monomial of degree D in the leading ideal.
+
+    x^i y^(D-i) lies in it when i >= A or D - i >= h(i). For an ideal J with
+    this leading ideal, J and J + m^D then have the same leading ideal, hence
+    the same finite colength, and since J is contained in J + m^D the two are
+    equal: m^D lies in J.
+    """
+    return max([len(heights)] + [i + h for i, h in enumerate(heights)])
 
 
 def _require_germ(f: Polynomial) -> None:
     if f.is_zero():
         raise NotAGermError("the zero polynomial defines no germ")
-    if f(0, 0) != 0:
+    if f.coefficient(0, 0) != 0:
         raise NotAGermError("the polynomial does not vanish at the origin")
 
 
@@ -436,27 +470,37 @@ def tjurina_number(f: Polynomial) -> int:
 def milnor_tjurina(f: Polynomial) -> tuple[int, int]:
     """(milnor_number(f), tjurina_number(f)) from one completion.
 
-    The Tjurina ideal is the Jacobian ideal plus f, so tau extends the
-    Jacobian standard basis by the Mora normal form of f and completes only
-    the pairs with that new entry; f in the Jacobian ideal (the
-    quasi-homogeneous germs) gives tau = mu at once. The extension reduces
-    against the whole Jacobian pool: against its minimal generators alone it
-    diverges on x^3 + y^7 + 3x^3y^2 - xy^5 - 3x^3y^3 - 2xy^6, which both
-    single-number routes answer in milliseconds.
+    The Tjurina ideal is the Jacobian ideal J plus f, so tau extends the
+    minimal generators of J's standard basis by the Mora normal form of f and
+    completes only the pairs with that new entry; f in J (the
+    quasi-homogeneous germs) gives tau = mu at once. The highest corner D of
+    J's basis gives m^D in J, so the extension works modulo m^D: it drops
+    every term of degree D or more, and tau is the colength of its leading
+    exponents together with the degree-D monomials. Each reduction step
+    strictly lowers the leading monomial, and fewer than D(D+1)/2 monomials
+    lie below degree D, so every normal form of the extension ends within
+    that many steps. Mu's completion is not cut.
     """
     _require_germ(f)
     g = _align_tangent_cone(f)
     jacobian = standard_basis(g.partials())
-    mu = colength(jacobian)
-    if mu is INFINITE:
+    heights = _column_heights(jacobian.leading_exponents)
+    if heights is None:
         raise NonIsolatedSingularityError("the critical locus is not isolated")
+    mu = sum(heights)
     if mu == 0:
         return 0, 0
-    pool = list(jacobian.pool)
-    h = _entry(g)
-    remainder, lead = _mora_normal_form(h[0], h[1], pool)
+    corner = _highest_corner(heights)
+    cut = _encode((corner, 0))
+    pool = [entry for p in jacobian.generators if (entry := _entry(p, cut))]
+    h = _entry(g, cut)
+    # with no term below the cut, g lies in m^D and so in J
+    remainder, lead = _mora_normal_form(h[0], h[1], pool, cut) if h else ({}, None)
     if not remainder:
         return mu, mu
     pool.append(_pool_entry(remainder, lead))
-    _complete(pool, len(pool) - 1)
-    return mu, colength(_minimal_basis(pool))
+    _complete(pool, len(pool) - 1, cut)
+    leads = {(entry[2], entry[3]) for entry in pool}
+    leads.update((i, corner - i) for i in range(corner + 1))
+    return mu, sum(_column_heights(leads))
+

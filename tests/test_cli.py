@@ -339,14 +339,15 @@ def test_corpus_domain_error_exit_two(tmp_path, capsys):
 
 
 def test_reduction_step_budget_is_a_domain_error(monkeypatch, tmp_path, capsys):
-    # the cusp needs at most 2 steps per normal form, x^3 + y^7 + x*y^6 11
+    # the cusp needs at most 2 steps per normal form, x^3 + y^10 + x*y^7 needs
+    # 7 inside the Jacobian completion, which is never cut
     monkeypatch.setattr(localalg, "_REDUCTION_STEP_LIMIT", 3)
-    code, out, err = run(capsys, "analyze", "x^3 + y^7 + x*y^6")
+    code, out, err = run(capsys, "analyze", "x^3 + y^10 + x*y^7")
     assert (code, out) == (2, "")
     assert "ComputationBudgetError: normal form did not terminate" in err
     path = tmp_path / "budget.corpus"
     path.write_text(
-        "a\ty^2 - x^3\tmilnor=2\nb\tx^3 + y^7 + x*y^6\nc\tx^2 + y^3\n", encoding="utf-8"
+        "a\ty^2 - x^3\tmilnor=2\nb\tx^3 + y^10 + x*y^7\nc\tx^2 + y^3\n", encoding="utf-8"
     )
     code, out, _ = run(capsys, "corpus", str(path), "--format", "json")
     assert code == 2

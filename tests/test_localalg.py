@@ -17,8 +17,11 @@ from germlab.localalg import (
     INFINITE,
     UNSTABLE,
     _align_tangent_cone,
+    _column_heights,
     _decode,
+    _divides,
     _encode,
+    _highest_corner,
     _mora_normal_form,
     _order_key,
     _pool_entry,
@@ -607,8 +610,9 @@ def _semi_quasihomogeneous_germs():
     return germs
 
 
-# Mora does not finish tau on this draw by either route; strict, so the
-# mark has to go once the engine terminates (ROADMAP item 1)
+# the from-scratch Tjurina completion in _exact_milnor_tjurina does not
+# finish on this draw (milnor_tjurina alone does, see below); strict, so the
+# mark has to go once that completion terminates (ROADMAP item 1)
 MORA_HANGS = {"x^5 + 3 x^3*y^3 + y^7 + 2 x^4*y^4 + 2 x^3*y^6"}
 _XFAIL_HANG = pytest.mark.xfail(reason="Mora hangs on tau", raises=_Hang, strict=True)
 
@@ -629,11 +633,79 @@ def test_milnor_tjurina_on_random_semi_quasihomogeneous_germs(a, b, f):
     assert tau <= mu
 
 
-def test_milnor_tjurina_extends_the_whole_jacobian_pool():
-    # extending only the minimal Jacobian generators diverges on this germ
+def test_milnor_tjurina_answers_the_semi_quasihomogeneous_hang():
+    f = parse_polynomial(next(iter(MORA_HANGS)))
+    with _time_limit(4.0):
+        pair = milnor_tjurina(f)
+    assert pair == (24, 21)
+    assert pair == (_oracle(f.partials()), _oracle([f, *f.partials()]))
+
+
+def test_milnor_tjurina_extends_the_cut_minimal_generators():
+    # the uncut extension of the minimal Jacobian generators diverged on this
+    # germ; cut at the highest corner it answers
     f = parse_polynomial("x^3 + y^7 + 3 x^3*y^2 - x*y^5 - 3 x^3*y^3 - 2 x*y^6")
     with _time_limit(4.0):
         assert _exact_milnor_tjurina(f) == (12, 11)
+
+
+@pytest.mark.parametrize(
+    "p,q,c,d",
+    [
+        (-2, 2, -3, -3),
+        (-1, 1, -3, -2),
+        (1, 2, -2, 1),
+        (-2, 1, -2, -3),
+        (-2, 1, -2, 1),
+        (-2, -1, -3, 2),
+        (2, -1, 3, -2),
+        (-2, -1, 1, -2),
+        (-1, -1, 2, -3),
+    ],
+)
+def test_milnor_tjurina_under_nonlinear_coordinate_changes(p, q, c, d):
+    x, y = Polynomial({(1, 0): 1}), Polynomial({(0, 1): 1})
+    f = parse_polynomial("x^3 + y^3 + x^2*y^2").substitute(p * x + c * y**2, q * y + d * x**2)
+    with _time_limit(4.0):
+        pair = milnor_tjurina(f)
+    assert pair == (4, 4)
+    gens = [f, *f.partials()]
+    assert pair == (colength_oracle(gens[1:], 12), colength_oracle(gens, 12))
+
+
+def _jacobian_corner(f):
+    """Highest corner of the aligned Jacobian basis, with its leading exponents."""
+    leading = standard_basis(_align_tangent_cone(f).partials()).leading_exponents
+    return _highest_corner(_column_heights(leading)), leading
+
+
+def test_highest_corner_of_pure_powers():
+    for a in range(2, 8):
+        for b in range(a, 12):
+            corner, _ = _jacobian_corner(parse_polynomial(f"x^{a} + y^{b}"))
+            assert corner == a + b - 3
+
+
+def _corner_germs():
+    for corpus in ("paper_examples", "branches"):
+        for entry in _parse_corpus(_read_corpus_text(corpus)):
+            yield parse_polynomial(entry.polynomial)
+    for a in (4, 5):
+        for u in (2, -2):
+            for v in (2, -2):
+                yield _sheared_reducible(a, u, v)
+
+
+def test_highest_corner_is_the_least_covered_degree():
+    def in_leading_ideal(mono, leading):
+        return any(_divides(lead, mono) for lead in leading)
+
+    for f in _corner_germs():
+        corner, leading = _jacobian_corner(f)
+        assert all(in_leading_ideal((i, corner - i), leading) for i in range(corner + 1))
+        assert corner == 0 or not all(
+            in_leading_ideal((i, corner - 1 - i), leading) for i in range(corner)
+        )
 
 
 def test_milnor_tjurina_edge_cases():
