@@ -9,7 +9,10 @@ division would not.
 Two independent colength computations live here on purpose:
 
 * ``standard_basis`` + ``colength`` count the staircase of the leading ideal
-  computed by Mora's tangent cone algorithm (exact, complete);
+  computed by Mora's tangent cone algorithm (exact, complete); the
+  completion skips pairs whose leading monomials are coprime, a pure power
+  of x against a pure power of y, because two such generators share no
+  tangent and so already form a standard basis of the ideal they span;
   ``milnor_tjurina`` gets tau by extending mu's standard basis with f
   instead of completing the Tjurina ideal from scratch, and drops every term
   at or above the highest corner D of that basis (m^D lies in the Jacobian
@@ -323,6 +326,20 @@ def _complete(pool: list[PoolEntry], first_new: int, cut: int = _NO_CUT) -> None
     in increasing order of the total degree of the lcm of leading monomials,
     which keeps the run deterministic. With a ``cut`` the pool is completed
     modulo the monomials at or above it, and no entry may have such a term.
+
+    A pair whose leading monomials are coprime is dropped unreduced
+    (Buchberger's product criterion), which in two variables is exact for
+    the local order. If one leading monomial is 1, that entry is a unit and
+    alone a standard basis of the whole ring. Otherwise call the entries f
+    and g, with leading monomials x^a and y^d. Leading monomial y^d makes
+    c*y^d the whole initial form of g, and f's initial form has an x^a term,
+    so f and g share no tangent. Then the colength of (f, g), their
+    intersection number, is a*d, the colength of (x^a, y^d); L(f, g)
+    contains (x^a, y^d) and has the same colength, so the two are equal and
+    {f, g} is a standard basis of (f, g). Their S-polynomial therefore has a
+    standard representation over {f, g}, hence over the pool, which is all
+    that Buchberger's criterion for local orders asks. Modulo the cut the
+    dropped terms lie at or above it, so the same holds there.
     """
 
     def pair_key(i: int, j: int) -> tuple[int, int, int, int]:
@@ -336,6 +353,8 @@ def _complete(pool: list[PoolEntry], first_new: int, cut: int = _NO_CUT) -> None
 
     while queue:
         _, i, j = heapq.heappop(queue)
+        if min(pool[i][2], pool[j][2]) == 0 == min(pool[i][3], pool[j][3]):
+            continue
         s, lead = _s_polynomial(pool[i], pool[j], cut)
         if not s:
             continue
@@ -374,8 +393,10 @@ def _minimal_basis(pool: list[PoolEntry]) -> StandardBasis:
 def standard_basis(generators: Iterable[Polynomial]) -> StandardBasis:
     """Complete the generators to a standard basis for the local order.
 
-    Buchberger-style completion using Mora normal forms over every pair of
-    generators.
+    Buchberger-style completion using Mora normal forms over the pairs of
+    the growing pool, except the pairs with coprime leading monomials, whose
+    S-polynomials are known to have standard representations (see
+    ``_complete``).
     """
     pool = [_entry(p) for p in generators if not p.is_zero()]
     if not pool:

@@ -1,18 +1,22 @@
 """Tests for local standard bases, colengths, and the truncation oracle."""
 
+import json
 import random
 import signal
 from contextlib import contextmanager
+from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 
+from germlab import localalg
 from germlab.errors import (
     NonIsolatedSingularityError,
     NotAGermError,
     ZeroIdealError,
 )
-from germlab.cli import _parse_corpus, _read_corpus_text
+from germlab.cli import _parse_corpus, _read_corpus_text, main
 from germlab.localalg import (
     INFINITE,
     UNSTABLE,
@@ -21,10 +25,12 @@ from germlab.localalg import (
     _decode,
     _divides,
     _encode,
+    _entry,
     _highest_corner,
     _mora_normal_form,
     _order_key,
     _pool_entry,
+    _s_polynomial,
     _to_int_terms,
     colength,
     colength_oracle,
@@ -33,7 +39,7 @@ from germlab.localalg import (
     standard_basis,
     tjurina_number,
 )
-from germlab.polynomials import ONE, Polynomial, parse_polynomial
+from germlab.polynomials import ONE, Polynomial, X, Y, parse_polynomial
 
 
 # -- the local order ----------------------------------------------------
@@ -713,3 +719,139 @@ def test_milnor_tjurina_edge_cases():
     for src in ("x^2", "x^2*y"):
         with pytest.raises(NonIsolatedSingularityError, match="critical locus"):
             milnor_tjurina(parse_polynomial(src))
+
+
+# -- coprime pairs are skipped (Buchberger's product criterion) ------------
+
+SHEARS = [(u, v) for u in (2, -2) for v in (2, -2)]
+
+# Every _reduce_leading call of mu's completion on x^4 + y^4 + x^3 y^3 under
+# the shear (2, 2), S-polynomials included; it was 173 while the two pairs
+# with coprime leading monomials were still reduced to zero.
+MU_COMPLETION_STEPS_RED_4_SHEAR_2_2 = 83
+
+
+def _coprime(first, second):
+    return min(first[0], second[0]) == 0 == min(first[1], second[1])
+
+
+@pytest.mark.parametrize("u,v", SHEARS)
+@pytest.mark.parametrize("a", [4, 5, 6, 7])
+def test_completion_never_forms_a_coprime_pair(monkeypatch, a, u, v):
+    seen = []
+    original = localalg._s_polynomial
+
+    def spy(f, g, *cut):
+        seen.append((_decode(f[1]), _decode(g[1])))
+        return original(f, g, *cut)
+
+    monkeypatch.setattr(localalg, "_s_polynomial", spy)
+    f = _sheared_reducible(a, u, v)
+    with _time_limit(4.0):
+        standard_basis(f.partials())
+        standard_basis([f, *f.partials()])
+        milnor_tjurina(f)
+    assert seen
+    assert [pair for pair in seen if _coprime(*pair)] == []
+
+
+def test_skipping_coprime_pairs_halves_the_mu_completion(monkeypatch):
+    steps = 0
+    original = localalg._reduce_leading
+
+    def counting(*args):
+        nonlocal steps
+        steps += 1
+        return original(*args)
+
+    monkeypatch.setattr(localalg, "_reduce_leading", counting)
+    standard_basis(_sheared_reducible(4, 2, 2).partials())
+    assert steps == MU_COMPLETION_STEPS_RED_4_SHEAR_2_2
+
+
+def _certificate_germs(family):
+    if family == "corpora":
+        for corpus in ("paper_examples", "branches"):
+            for entry in _parse_corpus(_read_corpus_text(corpus)):
+                yield parse_polynomial(entry.polynomial)
+    elif family == "sheared":
+        for a in range(4, 8):
+            for u, v in SHEARS:
+                yield _sheared_reducible(a, u, v)
+    elif family == "pure_powers":
+        for a in range(2, 7):
+            for b in range(a, 10):
+                yield parse_polynomial(f"x^{a} + y^{b}")
+    else:
+        for _, _, f in _semi_quasihomogeneous_germs():
+            yield f
+
+
+@pytest.mark.parametrize("family", ["corpora", "sheared", "pure_powers", "semi_qh"])
+def test_every_s_pair_of_a_standard_basis_reduces_to_zero(family):
+    # a certificate that does not trust the completion's pair selection:
+    # all pairs of the minimal generators, coprime ones included
+    for f in _certificate_germs(family):
+        g = _align_tangent_cone(f)
+        gx, gy = g.partials()
+        # the from-scratch tau completion of the strict-xfail draw hangs
+        ideals = [[gx, gy]] if str(f) in MORA_HANGS else [[gx, gy], [g, gx, gy]]
+        for generators in ideals:
+            entries = [_entry(p) for p in standard_basis(generators).generators]
+            for first, second in combinations(entries, 2):
+                s, lead = _s_polynomial(first, second)
+                if s:
+                    assert _mora_normal_form(s, lead, entries)[0] == {}, (str(f), first, second)
+
+
+# (p, q, c, d) of (x, y) -> (p x + c y^2, q y + d x^2), as drawn by the
+# perfbench coords workload for seeds 1 to 10, with the germ's id there and
+# its mu = tau from the closed form (x^3 y^3 lies in the Jacobian ideal of
+# x^4 + y^4); Mora hung on every one of these until coprime pairs were skipped
+COORDS_DRAWS = [
+    ("qh_2_5", "x^2 + y^5", 4,
+     [(1, -2, 2, 1), (-1, 1, 1, -2), (2, -1, -3, -1), (1, -2, -2, 3), (-2, 2, 3, -1),
+      (1, -1, -1, 1), (2, -1, -2, -1), (2, 2, 2, 2), (1, 2, 3, -1), (2, 2, -1, 1)]),
+    ("qh_3_4", "x^3 + y^4", 6,
+     [(-1, 1, 1, -2), (1, -1, -1, -2), (-1, -1, 1, 2), (1, 2, -3, 1), (1, -2, -2, 2),
+      (-1, 2, 2, 1), (1, 2, 1, -1), (-2, 1, 1, 2), (1, -1, 2, -1), (1, 1, -2, -3)]),
+    ("qh_4_5", "x^4 + y^5", 12,
+     [(1, -2, -3, -1), (-1, -2, 3, -2), (2, 2, 3, -1), (-1, -1, -3, 2), (2, 2, 3, -3),
+      (-2, 1, 3, -3), (-1, -1, 2, 3), (1, 2, 3, -1), (2, -1, -3, 1), (-2, 1, -3, 3)]),
+    ("red_4_3", "x^4 + y^4 + x^3*y^3", 9,
+     [(1, -1, -1, 1), (-2, 1, 3, -3), (1, -2, -1, 2), (1, -2, -3, -1), (1, 2, -3, 2),
+      (1, -1, 2, 2), (-1, 2, 2, -3), (1, 2, 3, -1), (-2, -1, -2, -1), (-2, -2, -2, 2)]),
+]
+
+
+def _now_answering():
+    """(germ, mu, tau) with mu and tau from closed forms or the item-1 table."""
+    germs = [
+        pytest.param(
+            (X**9 + Y**10 + X**5 * Y**5).substitute(
+                X + Y**3 + Fraction(2, 3) * Y, Y + 3 * X**2 - 5 * X
+            ),
+            72,
+            60,
+            id="C",
+        ),
+        pytest.param(
+            (X**12 + Y**13).substitute(X + Y**2 + 2 * Y, Y + X**2 - X), 132, 132, id="D"
+        ),
+    ]
+    for family, text, mu, draws in COORDS_DRAWS:
+        for p, q, c, d in draws:
+            f = parse_polynomial(text).substitute(p * X + c * Y**2, q * Y + d * X**2)
+            germs.append(pytest.param(f, mu, mu, id=f"{family}@aut({p},{q},{c},{d})"))
+    return germs
+
+
+@pytest.mark.parametrize("f,mu,tau", _now_answering())
+def test_germs_that_answer_once_coprime_pairs_are_skipped(capsys, f, mu, tau):
+    with _time_limit(4.0):
+        pair = milnor_tjurina(f)
+        code = main(["analyze", str(f), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (payload["milnor"], payload["tjurina"]) == pair == (mu, tau)
+    assert pair == (_oracle(f.partials()), _oracle([f, *f.partials()]))
