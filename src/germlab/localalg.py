@@ -453,7 +453,7 @@ def _require_germ(f: Polynomial) -> None:
 
 
 def _align_tangent_cone(f: Polynomial) -> Polynomial:
-    """Move a single-direction tangent cone onto the line y = 0.
+    """Check the germ, then move a single-direction tangent cone onto y = 0.
 
     Both colengths below are invariant under invertible linear substitutions,
     and Mora reduction behaves far better (no coefficient blow-up through
@@ -461,28 +461,38 @@ def _align_tangent_cone(f: Polynomial) -> Polynomial:
     Germs whose tangent cone already spreads over several directions are
     returned unchanged.
     """
+    _require_germ(f)
     if f.order() < 2:
         return f
     direction = f.tangent_direction()
     return f if direction is None else f.align_tangent(direction)
 
 
+def _jacobian(f: Polynomial) -> tuple[Polynomial, StandardBasis, list[int]]:
+    """The aligned germ, the standard basis of its Jacobian ideal and its column heights."""
+    g = _align_tangent_cone(f)
+    jacobian = standard_basis(g.partials())
+    heights = _column_heights(jacobian.leading_exponents)
+    if heights is None:
+        raise NonIsolatedSingularityError("the critical locus is not isolated")
+    return g, jacobian, heights
+
+
 def milnor_number(f: Polynomial) -> int:
     """Colength of the ideal of both partial derivatives; requires it finite."""
-    _require_germ(f)
-    fx, fy = _align_tangent_cone(f).partials()
-    value = colength(standard_basis([fx, fy]))
-    if value is INFINITE:
-        raise NonIsolatedSingularityError("the critical locus is not isolated")
-    return value
+    return sum(_jacobian(f)[2])
 
 
 def tjurina_number(f: Polynomial) -> int:
-    """Colength of the ideal of f and both partial derivatives."""
-    _require_germ(f)
+    """Colength of the ideal of f and both partial derivatives.
+
+    Completes the Tjurina ideal from scratch instead of extending mu's basis
+    as ``milnor_tjurina`` does, because it answers germs where mu's uncut
+    completion hangs (germ A of the roadmap, in milliseconds). The route
+    stays separate until mu's completion has the highest corner.
+    """
     g = _align_tangent_cone(f)
-    gx, gy = g.partials()
-    value = colength(standard_basis([g, gx, gy]))
+    value = colength(standard_basis([g, *g.partials()]))
     if value is INFINITE:
         raise NonIsolatedSingularityError("the singular locus is not isolated")
     return value
@@ -502,15 +512,8 @@ def milnor_tjurina(f: Polynomial) -> tuple[int, int]:
     lie below degree D, so every normal form of the extension ends within
     that many steps. Mu's completion is not cut.
     """
-    _require_germ(f)
-    g = _align_tangent_cone(f)
-    jacobian = standard_basis(g.partials())
-    heights = _column_heights(jacobian.leading_exponents)
-    if heights is None:
-        raise NonIsolatedSingularityError("the critical locus is not isolated")
+    g, jacobian, heights = _jacobian(f)
     mu = sum(heights)
-    if mu == 0:
-        return 0, 0
     corner = _highest_corner(heights)
     cut = _encode((corner, 0))
     pool = [entry for p in jacobian.generators if (entry := _entry(p, cut))]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
     InconsistentSequenceError,
@@ -181,34 +181,30 @@ class PuiseuxCharacteristic:
         return f"({self.m}; {inner})" if self.betas else f"({self.m};)"
 
 
+def _euclid_runs(a: int, b: int) -> Iterator[tuple[int, int]]:
+    """Euclid's algorithm on (a, b) as (divisor, quotient) pairs; the last divisor is the gcd."""
+    while b:
+        q, r = divmod(a, b)
+        yield b, q
+        a, b = b, r
+
+
 def expected_sequence_from_characteristic(char: PuiseuxCharacteristic) -> list[int]:
     """Multiplicity sequence a branch with these exponents must produce.
 
-    Walks the Euclidean-type recursion on (m; beta_1, ...): subtract m while
-    the first exponent still exceeds 2m, otherwise restart from the remainder
-    beta_1 - m. Smooth input gives the empty sequence.
+    Runs Euclid's algorithm on (beta_i - beta_(i-1), e_(i-1)) for each
+    exponent, with beta_0 = 0 and e_0 = m; each quotient q contributes q
+    points of multiplicity equal to its divisor, and the last divisor is
+    e_i. Points of multiplicity 1 are smooth and dropped, so smooth input
+    gives the empty sequence.
     """
-    m = char.m
-    betas = list(char.betas)
     sequence: list[int] = []
-    while m >= 2:
-        sequence.append(m)
-        b1 = betas[0]
-        assert b1 % m != 0
-        if b1 > 2 * m:
-            betas = [b - m for b in betas]
-            continue
-        r = b1 - m
-        rest = [b - b1 + m for b in betas[1:]]
-        if m % r == 0:
-            if not rest:
-                # the gcd chain forces r = 1 here: next germ is smooth
-                m, betas = r, []
-            else:
-                m, betas = r, rest
-        else:
-            m, betas = r, [m] + rest
-    return sequence
+    e, previous = char.m, 0
+    for beta in char.betas:
+        for e, q in _euclid_runs(beta - previous, e):
+            sequence += [e] * q
+        previous = beta
+    return [k for k in sequence if k > 1]
 
 
 def characteristic_from_sequence(
@@ -216,9 +212,11 @@ def characteristic_from_sequence(
 ) -> PuiseuxCharacteristic:
     """Reconstruct the characteristic exponents from a multiplicity sequence.
 
-    Inverts the recursion of ``expected_sequence_from_characteristic`` one
-    step at a time, from the smooth end backwards; each step has exactly one
-    consistent preimage. Raises InconsistentSequenceError when no branch can
+    Reads the sequence forward, one exponent at a time: the q points of
+    multiplicity e = e_(i-1) and the next multiplicity r (1 once the sequence
+    has ended) give beta_i = beta_(i-1) + q*e + r, and the points that follow
+    must be exactly the remaining runs of Euclid's algorithm on (e, r), down
+    to e_i = gcd(e, r). Raises InconsistentSequenceError when no branch can
     realize the given sequence.
     """
     if isinstance(seq, ResolutionSequence):
@@ -232,34 +230,22 @@ def characteristic_from_sequence(
             )
     if not mults:
         return PuiseuxCharacteristic(1, ())
-
-    state: tuple[int, list[int]] | None = None
-    for m in reversed(mults):
-        if state is None:
-            # only the final blowup of a once-singular germ reaches smoothness
-            state = (m, [m + 1])
-            continue
-        succ_m, succ_betas = state
-        if succ_m == m:
-            state = (m, [b + m for b in succ_betas])
-        elif succ_m < m and m % succ_m == 0:
-            state = (m, [m + succ_m] + [b + succ_m for b in succ_betas])
-        elif succ_m < m and succ_betas[0] == m:
-            state = (m, [m + succ_m] + [b + succ_m for b in succ_betas[1:]])
-        else:
-            raise InconsistentSequenceError(
-                f"no branch continues multiplicity {m} with {succ_m} as the next stage"
-            )
-    assert state is not None
-    try:
-        char = PuiseuxCharacteristic(state[0], tuple(state[1]))
-    except InvalidCharacteristicError as exc:
-        raise InconsistentSequenceError(str(exc)) from exc
-    # A self-check of the backwards steps, not a reachable rejection: it
-    # fired on none of the 2,396,744 sequences of length 1 to 7 with entries
-    # 2 to 9 (enumeration recorded in CHANGES.md), so no test reaches it.
-    if expected_sequence_from_characteristic(char) != mults:
-        raise InconsistentSequenceError(
-            "reconstructed exponents do not reproduce the sequence"
-        )
-    return char
+    inconsistent = f"no branch has the multiplicity sequence {mults}"
+    # pad with the smooth points that follow the sequence; Euclid's last run
+    # on a gcd of 1 is at most m long
+    points = mults + [1] * mults[0]
+    e, betas, pos = mults[0], [0], 0
+    while e > 1:
+        q = 0
+        while points[pos + q] == e:
+            q += 1
+        pos += q
+        r = points[pos]
+        if r > e:
+            raise InconsistentSequenceError(inconsistent)
+        betas.append(betas[-1] + q * e + r)
+        for e, k in _euclid_runs(e, r):
+            if points[pos:pos + k] != [e] * k:
+                raise InconsistentSequenceError(inconsistent)
+            pos += k
+    return PuiseuxCharacteristic(mults[0], tuple(betas[1:]))

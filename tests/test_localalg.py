@@ -721,6 +721,16 @@ def test_milnor_tjurina_edge_cases():
             milnor_tjurina(parse_polynomial(src))
 
 
+def test_tjurina_number_answers_germ_a_from_scratch():
+    # germ A of the roadmap: mu's uncut completion, and so milnor_tjurina,
+    # does not finish on it, while the from-scratch Tjurina completion takes
+    # milliseconds; this is why tjurina_number keeps its own route
+    f = ((Y**2 - X**3) ** 2 - X**7) ** 2 - X**17 * Y
+    with _time_limit(4.0):
+        tau = tjurina_number(f)
+    assert tau == 90 == colength_oracle([f, *f.partials()], degree_cap=24)
+
+
 # -- coprime pairs are skipped (Buchberger's product criterion) ------------
 
 SHEARS = [(u, v) for u in (2, -2) for v in (2, -2)]

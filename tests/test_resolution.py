@@ -1,7 +1,9 @@
 """Tests for blowups, branch resolution, and characteristic reconstruction."""
 
 import random
+import re
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -241,13 +243,48 @@ def test_characteristic_from_sequence_rejects():
         characteristic_from_sequence([1, 2])
     with pytest.raises(InconsistentSequenceError):
         characteristic_from_sequence([3, 0])
-    # the reconstructed exponents fail PuiseuxCharacteristic's own check
+    # the gcd run after the first drop is cut short: (4; 6, ...) needs [4, 2, 2]
     for seq in ([4, 2], [6, 3]):
         with pytest.raises(
-            InconsistentSequenceError, match="exponents must strictly increase"
-        ) as caught:
+            InconsistentSequenceError,
+            match=re.escape(f"no branch has the multiplicity sequence {seq}"),
+        ):
             characteristic_from_sequence(seq)
-        assert isinstance(caught.value.__cause__, InvalidCharacteristicError)
+
+
+def _characteristics(m, top):
+    """Every valid characteristic with multiplicity m and exponents <= top."""
+
+    def extend(e, previous, betas):
+        if e == 1:
+            yield PuiseuxCharacteristic(m, betas)
+            return
+        for beta in range(previous + 1, top + 1):
+            if gcd(e, beta) < e:
+                yield from extend(gcd(e, beta), beta, betas + (beta,))
+
+    yield from extend(m, m, ())
+
+
+def test_characteristic_from_sequence_is_exactly_the_inverse():
+    # a sequence with entries <= 9 starts at m <= 9, and the forward walk
+    # puts beta_g <= sum of the entries + m + 1 <= 55 for length <= 5
+    realizable = {}
+    for m in range(1, 10):
+        for char in _characteristics(m, 60):
+            seq = tuple(expected_sequence_from_characteristic(char))
+            if len(seq) <= 5:
+                assert realizable.setdefault(seq, char) == char
+    accepted = 0
+    for length in range(6):
+        for seq in product(range(2, 10), repeat=length):
+            if seq in realizable:
+                assert characteristic_from_sequence(seq) == realizable[seq]
+                accepted += 1
+            else:
+                with pytest.raises(InconsistentSequenceError):
+                    characteristic_from_sequence(seq)
+    assert accepted == len(realizable) == 138
 
 
 def test_round_trip_small_enumeration():
