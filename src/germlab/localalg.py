@@ -22,10 +22,14 @@ Two independent colength computations live here on purpose:
   integer Gaussian elimination, certifying exactness via stability at two
   consecutive caps.
 
-Beyond the Polynomial type they share only ``_to_int_terms``, the conversion
-of a polynomial to an integer term dict with its content divided out. The
-Mora kernel then works on integer-coded monomials of its own, so agreement
-is meaningful.
+They share only the input format: ``_to_int_terms`` clears denominators,
+``_encode`` codes monomials as integers in the local order, and ``_normalized``
+divides out the content and makes the leading coefficient positive. The
+oracle never calls Mora's reduction, normal form or completion, so a fault
+there cannot cancel out in the cross-check. Its codimension is a rank, which
+no pivot order changes: it needs the codes only injective, additive and
+ordered by degree (pinned up to degree 600), and pivots in the local order
+only because that keeps the elimination sparse.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Collection, Iterable, Sequence
 
 from .errors import (
@@ -45,7 +49,6 @@ from .errors import (
 from .polynomials import Polynomial
 
 Exponent = tuple[int, int]
-IntTerms = dict[Exponent, int]
 
 #: Sentinel returned by ``colength`` for ideals of infinite colength.
 INFINITE = object()
@@ -64,122 +67,9 @@ def _order_key(mono: Exponent) -> tuple[int, int]:
     return (i + j, -i)
 
 
-# -- integer term-dict helpers ----------------------------------------------
+# -- integer monomial codes, shared by both pipelines ------------------------
 
-
-def _to_int_terms(p: Polynomial) -> IntTerms:
-    """Clear denominators and content; the result spans the same ideal."""
-    terms = p.terms
-    lcm_den = 1
-    for c in terms.values():
-        lcm_den = lcm_den * c.denominator // gcd(lcm_den, c.denominator)
-    out = {k: int(c * lcm_den) for k, c in terms.items()}
-    return _content_normalize(out)
-
-
-def _content_normalize(terms: IntTerms) -> IntTerms:
-    """Divide by the gcd of all coefficients and make the leading one positive."""
-    if not terms:
-        return terms
-    g = 0
-    for c in terms.values():
-        g = gcd(g, c)
-        if g == 1:
-            break
-    if g > 1:
-        terms = {k: c // g for k, c in terms.items()}
-    if terms[min(terms, key=_order_key)] < 0:
-        terms = {k: -c for k, c in terms.items()}
-    return terms
-
-
-def _ord_of(terms: IntTerms) -> int:
-    return min(i + j for i, j in terms)
-
-
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return a[0] <= b[0] and a[1] <= b[1]
-
-
-def _cancel_leading(h: IntTerms, g: IntTerms) -> IntTerms:
-    """One exact reduction step: kill the leading term of h with a multiple of g."""
-    lmh = min(h, key=_order_key)
-    lmg = min(g, key=_order_key)
-    di, dj = lmh[0] - lmg[0], lmh[1] - lmg[1]
-    a, b = g[lmg], h[lmh]
-    out = {k: a * c for k, c in h.items()}
-    for (i, j), c in g.items():
-        k = (i + di, j + dj)
-        v = out.get(k, 0) - b * c
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
-    return _content_normalize(out)
-
-
-# -- truncation oracle (independent of the standard basis machinery) --------
-
-
-def colength_oracle(generators: Iterable[Polynomial], degree_cap: int):
-    """Codimension of the span of all truncated monomial multiples.
-
-    Computes the codimension at ``degree_cap - 1`` and ``degree_cap``; if the
-    two agree the common value is the exact colength (the quotient staircase
-    is a lower set, so its counting function is constant in the cap exactly
-    once every staircase monomial lies below it). Returns UNSTABLE otherwise;
-    an infinite colength never stabilizes.
-    """
-    if degree_cap < 2:
-        raise ValueError("degree_cap must be at least 2")
-    polys = [p for p in generators if isinstance(p, Polynomial) and not p.is_zero()]
-    low = _truncated_codimension(polys, degree_cap - 1)
-    high = _truncated_codimension(polys, degree_cap)
-    return high if low == high else UNSTABLE
-
-
-def _truncated_codimension(polys: Sequence[Polynomial], cap: int) -> int:
-    pivots: dict[Exponent, IntTerms] = {}
-    for p in polys:
-        base = _to_int_terms(p)
-        shift_budget = cap - _ord_of(base)
-        if shift_budget < 0:
-            continue
-        multipliers = [
-            (i, j)
-            for d in range(shift_budget + 1)
-            for i in range(d, -1, -1)
-            for j in (d - i,)
-        ]
-        for (mi, mj) in multipliers:
-            row: IntTerms = {}
-            for (i, j), c in base.items():
-                if i + mi + j + mj <= cap:
-                    row[(i + mi, j + mj)] = c
-            row = _content_normalize(row)
-            while row:
-                lead = min(row, key=_order_key)
-                pivot = pivots.get(lead)
-                if pivot is None:
-                    pivots[lead] = row
-                    break
-                row = _cancel_leading(row, pivot)
-    n_columns = (cap + 1) * (cap + 2) // 2
-    return n_columns - len(pivots)
-
-
-# -- Mora standard bases -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StandardBasis:
-    """A standard basis together with the minimal exponents of its leading ideal."""
-
-    generators: tuple[Polynomial, ...]
-    leading_exponents: frozenset[Exponent]
-
-
-# The Mora kernel codes the monomial x^i y^j as the integer (i + j) * 2**32 - i.
+# Both pipelines code the monomial x^i y^j as the integer (i + j) * 2**32 - i.
 # For every x-degree below 2**32 integer order is then exactly the local order
 # (the smallest code is the leading monomial, the largest has the top degree),
 # and multiplying two monomials adds their codes.  The monomials of degree >= D
@@ -187,13 +77,7 @@ class StandardBasis:
 # corner D is one comparison per term.
 _SHIFT = 32
 _BELOW = (1 << _SHIFT) - 1
-# a cut above every code in use: nothing is dropped
-_NO_CUT = 1 << (2 * _SHIFT)
-
 CodeTerms = dict[int, int]
-# a reducer with its cached leading data: terms, leading code, leading
-# exponent (i, j) and its rank (ecart, i + j, i) in the reducer choice
-PoolEntry = tuple[CodeTerms, int, int, int, tuple[int, int, int]]
 
 
 def _encode(mono: Exponent) -> int:
@@ -211,9 +95,10 @@ def _decode(code: int) -> Exponent:
     return (i, d - i)
 
 
-def _ecart(terms: CodeTerms, lead: int) -> int:
-    # gap between the highest and lowest total degree present
-    return _degree(max(terms)) - _degree(lead)
+def _to_int_terms(p: Polynomial) -> dict[Exponent, int]:
+    """Clear denominators; the result spans the same ideal."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in p.terms.items()}
 
 
 def _normalized(terms: CodeTerms) -> tuple[CodeTerms, int | None]:
@@ -227,6 +112,78 @@ def _normalized(terms: CodeTerms) -> tuple[CodeTerms, int | None]:
     if g != 1:
         terms = {k: c // g for k, c in terms.items()}
     return terms, lead
+
+
+# -- truncation oracle (independent of the standard basis machinery) --------
+
+
+def colength_oracle(generators: Iterable[Polynomial], degree_cap: int):
+    """Codimension of the span of all truncated monomial multiples.
+
+    Computes the codimension at ``degree_cap - 1`` and ``degree_cap``; if the
+    two agree the common value is the exact colength (the quotient staircase
+    is a lower set, so its counting function is constant in the cap exactly
+    once every staircase monomial lies below it). Returns UNSTABLE otherwise;
+    an infinite colength never stabilizes.
+    """
+    if degree_cap < 2:
+        raise ValueError("degree_cap must be at least 2")
+    polys = [p for p in generators if not p.is_zero()]
+    low = _truncated_codimension(polys, degree_cap - 1)
+    high = _truncated_codimension(polys, degree_cap)
+    return high if low == high else UNSTABLE
+
+
+def _truncated_codimension(polys: Sequence[Polynomial], cap: int) -> int:
+    """Monomials of degree at most cap, minus the rank of their truncated multiples."""
+    cut = _encode((cap + 1, 0))
+    pivots: dict[int, CodeTerms] = {}
+    for p in polys:
+        base = {_encode(k): c for k, c in _to_int_terms(p).items()}
+        for d in range(cap - _degree(min(base)) + 1):
+            for mi in range(d, -1, -1):
+                shift = _encode((mi, d - mi))
+                row, lead = _normalized({k + shift: c for k, c in base.items() if k + shift < cut})
+                while lead is not None:
+                    pivot = pivots.get(lead)
+                    if pivot is None:
+                        pivots[lead] = row
+                        break
+                    # cross-multiply so that the leading terms cancel
+                    a, b = pivot[lead], row[lead]
+                    out = {k: a * c for k, c in row.items()}
+                    for k, c in pivot.items():
+                        v = out.get(k, 0) - b * c
+                        if v:
+                            out[k] = v
+                        else:
+                            del out[k]
+                    row, lead = _normalized(out)
+    return (cap + 1) * (cap + 2) // 2 - len(pivots)
+
+
+# -- Mora standard bases -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StandardBasis:
+    """A standard basis together with the minimal exponents of its leading ideal."""
+
+    generators: tuple[Polynomial, ...]
+    leading_exponents: frozenset[Exponent]
+
+
+# a cut above every code in use: nothing is dropped
+_NO_CUT = 1 << (2 * _SHIFT)
+
+# a reducer with its cached leading data: terms, leading code, leading
+# exponent (i, j) and its rank (ecart, i + j, i) in the reducer choice
+PoolEntry = tuple[CodeTerms, int, int, int, tuple[int, int, int]]
+
+
+def _ecart(terms: CodeTerms, lead: int) -> int:
+    # gap between the highest and lowest total degree present
+    return _degree(max(terms)) - _degree(lead)
 
 
 def _pool_entry(terms: CodeTerms, lead: int) -> PoolEntry:
@@ -269,6 +226,11 @@ def _mora_normal_form(
     better one exists; when none exists the remainder itself joins the local
     reducer pool, which is what forces termination in the local order.
     Terms at or above ``cut`` are dropped after every step; h must have none.
+
+    Appending h also at equal ecart gives the same normal forms: a later
+    remainder h' that h could reduce has lead(best) | lead(h) | lead(h'), so
+    best is a candidate for h' too, of rank (ecart, degree, x-degree) at most
+    h's, and wins a tie as the earlier entry; h is never chosen.
     """
     pool = list(reducers)
     steps = 0
@@ -365,6 +327,10 @@ def _complete(pool: list[PoolEntry], first_new: int, cut: int = _NO_CUT) -> None
         new = len(pool) - 1
         for k in range(new):
             heapq.heappush(queue, (pair_key(k, new), k, new))
+
+
+def _divides(a: Exponent, b: Exponent) -> bool:
+    return a[0] <= b[0] and a[1] <= b[1]
 
 
 def _minimal_basis(pool: list[PoolEntry]) -> StandardBasis:

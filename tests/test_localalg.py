@@ -139,14 +139,23 @@ def test_colength_needs_both_pure_powers():
     assert colength(standard_basis([parse_polynomial("y^3")])) is INFINITE
 
 
+def _rescaled(gens):
+    """gens, copies scaled by 2 and by -3/7, and one with a denominator per generator."""
+    return [
+        gens,
+        [2 * g for g in gens],
+        [Fraction(-3, 7) * g for g in gens],
+        [Fraction(1, k + 2) * g for k, g in enumerate(gens)],
+    ]
+
+
 def test_completion_finds_hidden_generators():
-    # (y^2 - x^3, x*y): s-pairs produce a pure power of x
-    basis = standard_basis([parse_polynomial("y^2 - x^3"), parse_polynomial("x*y")])
-    value = colength(basis)
-    assert value is not INFINITE
-    assert value == colength_oracle(
-        [parse_polynomial("y^2 - x^3"), parse_polynomial("x*y")], degree_cap=10
-    )
+    # (y^2 - x^3, x*y): s-pairs produce a pure power of x; each kernel
+    # normalises its input, so rescaled copies give the same colengths
+    for gens in _rescaled([parse_polynomial("y^2 - x^3"), parse_polynomial("x*y")]):
+        value = colength(standard_basis(gens))
+        assert value is not INFINITE
+        assert value == colength_oracle(gens, degree_cap=10) == 5
 
 
 def _pool_entry_of(text):
@@ -172,14 +181,27 @@ def test_oracle_maximal_ideal():
 
 
 def test_oracle_cusp_jacobian():
-    gens = list(parse_polynomial("y^2 - x^3").partials())
-    assert colength_oracle(gens, degree_cap=8) == 2
+    for gens in _rescaled(list(parse_polynomial("y^2 - x^3").partials())):
+        assert colength_oracle(gens, degree_cap=8) == 2 == colength(standard_basis(gens))
 
 
 def test_oracle_reports_unstable():
     # the cap is far too small for the staircase of (x^9, y^9)-like ideals
     gens = list(parse_polynomial("x^9 + y^9 + x^6*y^6").partials())
     assert colength_oracle(gens, degree_cap=3) is UNSTABLE
+
+
+@pytest.mark.parametrize(
+    "colength_of",
+    [lambda gens: colength(standard_basis(gens)), lambda gens: colength_oracle(gens, 8)],
+    ids=["standard_basis", "colength_oracle"],
+)
+def test_generators_must_be_polynomials(colength_of):
+    x, y = parse_polynomial("x"), parse_polynomial("y")
+    assert colength_of([Polynomial(), x**2, y**2]) == 4
+    # a generator left as text is an error, not silently left out of the ideal
+    with pytest.raises(AttributeError):
+        colength_of([x**2, y**2, "x"])
 
 
 def test_oracle_rejects_tiny_cap():
