@@ -18,9 +18,9 @@ from typing import Optional
 
 from .compare import not_smoother
 from .errors import CorpusFormatError, GermError
-from .invariants import InvariantReport, _stages, germ_report, verify_branch
+from .invariants import InvariantReport, _stage_laws, germ_report, verify_branch
 from .polynomials import DEFAULT_DEGREE_CAP, parse_polynomial
-from .resolution import characteristic_from_sequence, resolve_branch
+from .resolution import _aligned_stages, _sequence, characteristic_from_sequence
 
 _EXPECTED_KEYS = ("delta", "milnor", "monotone", "multiplicity", "tjurina")
 _BUNDLED_CORPORA = ("paper_examples", "branches")
@@ -210,9 +210,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
     poly = parse_polynomial(args.polynomial, max_degree=args.max_degree)
-    sequence = resolve_branch(poly)
+    stages = list(_aligned_stages(poly))
+    sequence = _sequence(stages)
     char = characteristic_from_sequence(sequence)
-    _, chain = _stages(poly, sequence)
+    _, chain = _stage_laws(stages)
     payload = {
         "input": str(poly),
         "steps": [

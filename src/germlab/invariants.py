@@ -14,6 +14,7 @@ from typing import Optional
 from .errors import (
     MultiplicityTooSmallError,
     NotABranchError,
+    NotSingularError,
     SmoothGermError,
     ZeroPolynomialError,
 )
@@ -22,11 +23,11 @@ from .localalg import milnor_number, milnor_tjurina  # noqa: F401
 from .polynomials import Polynomial
 from .resolution import (
     PuiseuxCharacteristic,
-    ResolutionSequence,
+    Stage,
+    _aligned_stages,
+    _sequence,
     characteristic_from_sequence,
     delta_from_sequence,
-    resolve_branch,
-    strict_transform_once,
 )
 
 
@@ -52,19 +53,22 @@ class InvariantReport:
     ratio_ok: Optional[bool]
 
 
-def _report_and_resolution(
+def _report_and_stages(
     f: Polynomial,
-) -> tuple[InvariantReport, ResolutionSequence | NotABranchError]:
-    """germ_report's work, with the resolution or the error that refused it."""
+) -> tuple[InvariantReport, list[Stage] | NotABranchError]:
+    """germ_report's work, with f's aligned stages or the error that refused them."""
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial defines no germ")
-    mu, tau = milnor_tjurina(f)
-    resolution: ResolutionSequence | NotABranchError
+    stages = _aligned_stages(f)
+    first = next(stages)
+    mu, tau = milnor_tjurina(first[0])
+    resolved: list[Stage] | NotABranchError
     try:
-        resolution = resolve_branch(f)
+        resolved = [first, *stages]
     except NotABranchError as exc:
-        resolution = exc
-    is_branch = isinstance(resolution, ResolutionSequence)
+        resolved = exc
+    is_branch = not isinstance(resolved, NotABranchError)
+    sequence = _sequence(resolved) if is_branch else None
     report = InvariantReport(
         input=f,
         multiplicity=f.order(),
@@ -73,17 +77,17 @@ def _report_and_resolution(
         monotone=3 * mu - 4 * tau,
         differential_gap=Fraction(tau) - Fraction(mu, 2),
         is_branch=is_branch,
-        delta=delta_from_sequence(resolution) if is_branch else None,
-        characteristic=characteristic_from_sequence(resolution) if is_branch else None,
-        multiplicity_sequence=resolution.multiplicity_sequence if is_branch else None,
+        delta=delta_from_sequence(sequence) if is_branch else None,
+        characteristic=characteristic_from_sequence(sequence) if is_branch else None,
+        multiplicity_sequence=sequence.multiplicity_sequence if is_branch else None,
         ratio_ok=(3 * mu < 4 * tau) if mu >= 1 else None,
     )
-    return report, resolution
+    return report, resolved
 
 
 def germ_report(f: Polynomial) -> InvariantReport:
     """Compute multiplicity, mu, tau, the monotone quantity, and branch data."""
-    return _report_and_resolution(f)[0]
+    return _report_and_stages(f)[0]
 
 
 def verify_branch(f: Polynomial) -> tuple[InvariantReport, list[LawCheck], list[int]]:
@@ -92,10 +96,10 @@ def verify_branch(f: Polynomial) -> tuple[InvariantReport, list[LawCheck], list[
     Resolves f once and computes mu and tau once per stage. Raises what
     germ_report raises, then NotABranchError for reducible germs.
     """
-    report, resolution = _report_and_resolution(f)
-    if isinstance(resolution, NotABranchError):
-        raise resolution
-    checks, chain = _stages(f, resolution, (report.milnor, report.tjurina))
+    report, stages = _report_and_stages(f)
+    if isinstance(stages, NotABranchError):
+        raise stages
+    checks, chain = _stage_laws(stages, (report.milnor, report.tjurina))
     return report, checks, chain
 
 
@@ -167,28 +171,27 @@ def blowup_law_check(f: Polynomial) -> LawCheck:
 
     The laws: mu drops by exactly m*(m-1); tau drops by at least
     m*(m-1)/2 + dmin_lower(m); and 3*mu - 4*tau strictly increases.
+    Resolves f in full, since a later stage may show it is not a branch.
     """
-    resolve_branch(f)  # raises NotABranchError for reducible germs
-    step = strict_transform_once(f)  # raises NotSingularError for smooth germs
-    g = step.strict_transform
-    return _law_check(step.multiplicity_before, *milnor_tjurina(f), *milnor_tjurina(g))
+    stages = list(_aligned_stages(f))  # raises NotABranchError for reducible germs
+    if len(stages) == 1:
+        raise NotSingularError("the germ is smooth; nothing to blow up")
+    return _stage_laws(stages[:2])[0][0]
 
 
-def _stages(
-    f: Polynomial,
-    sequence: ResolutionSequence,
+def _stage_laws(
+    stages: list[Stage],
     first: Optional[tuple[int, int]] = None,
 ) -> tuple[list[LawCheck], list[int]]:
-    """Law checks and the 3*mu - 4*tau chain along the resolution of f.
+    """Law checks and the 3*mu - 4*tau chain along aligned resolution stages.
 
     Computes mu and tau once per stage; ``first`` is stage 0's (mu, tau)
     when the caller already has them.
     """
-    mu0, tau0 = first if first is not None else milnor_tjurina(f)
+    mu0, tau0 = first if first is not None else milnor_tjurina(stages[0][0])
     checks: list[LawCheck] = []
     chain = [3 * mu0 - 4 * tau0]
-    for step in sequence.steps:
-        g = step.strict_transform
+    for g, step in stages[1:]:
         mu1, tau1 = milnor_tjurina(g)
         checks.append(_law_check(step.multiplicity_before, mu0, tau0, mu1, tau1))
         chain.append(3 * mu1 - 4 * tau1)
@@ -201,7 +204,7 @@ def resolution_law_checks(f: Polynomial) -> list[LawCheck]:
 
     Empty for a smooth germ; raises NotABranchError for reducible germs.
     """
-    return _stages(f, resolve_branch(f))[0]
+    return _stage_laws(list(_aligned_stages(f)))[0]
 
 
 def theorem_verify(f: Polynomial) -> list[int]:
@@ -211,7 +214,7 @@ def theorem_verify(f: Polynomial) -> list[int]:
     singular branch every earlier entry is negative and the list strictly
     increases. Raises NotABranchError for reducible germs.
     """
-    return _stages(f, resolve_branch(f))[1]
+    return _stage_laws(list(_aligned_stages(f)))[1]
 
 
 def ratio_check(report: InvariantReport) -> bool:

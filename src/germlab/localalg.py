@@ -425,7 +425,7 @@ def _align_tangent_cone(f: Polynomial) -> Polynomial:
     and Mora reduction behaves far better (no coefficient blow-up through
     long cancellation chains) when the initial form is a pure power of y.
     Germs whose tangent cone already spreads over several directions are
-    returned unchanged.
+    returned unchanged, and so are aligned ones such as resolution stages.
     """
     _require_germ(f)
     if f.order() < 2:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (
@@ -134,6 +134,9 @@ class Polynomial:
                 return VERTICAL
             return None
         t = -init.coefficient(1, m - 1) / (top * m)
+        if t == 0:
+            # every aligned germ lands here: pure only if it is c * y^m
+            return Slope(t) if len(init) == 1 else None
         expected = Polynomial(
             {(k, m - k): top * comb(m, k) * (-t) ** k for k in range(m + 1)}
         )
@@ -275,12 +278,30 @@ class Polynomial:
 
         Swaps x and y for the vertical direction and shears y -> t*x + y for
         the slope t, so an initial form c * l^m becomes c * y^m.
+
+        The shear is exact integer arithmetic: with t = p/q, J = deg_y f and
+        c_ij = a_ij / L over a common denominator L, the binomial expansion
+        makes each term of f(x, t x + y) an integer sum of
+        a_ij C(j, k) p^k q^(J - k) over L q^J. One Fraction per term reduces
+        it, so the result equals ``substitute_linear(((1, 0), (t, 1)))``.
         """
         if isinstance(direction, Vertical):
             return self.swap_variables()
-        if direction.t == 0:
+        t = Fraction(direction.t)
+        if t == 0:
             return self
-        return self.substitute_linear(((1, 0), (direction.t, 1)))
+        p, q = t.numerator, t.denominator
+        common = lcm(*(c.denominator for c in self._terms.values()))
+        top = max((j for _, j in self._terms), default=0)
+        weights = [p**k * q ** (top - k) for k in range(top + 1)]
+        acc: dict[Exponent, int] = {}
+        for (i, j), c in self._terms.items():
+            a = c.numerator * (common // c.denominator)
+            for k in range(j + 1):
+                key = (i + k, j - k)
+                acc[key] = acc.get(key, 0) + a * comb(j, k) * weights[k]
+        den = common * q**top
+        return Polynomial._raw({key: Fraction(v, den) for key, v in acc.items() if v})
 
     # -- printing --------------------------------------------------------
 

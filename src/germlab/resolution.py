@@ -5,11 +5,15 @@ swap of x and y for a vertical tangent) so that the followed point of the
 strict transform is always the origin of the chart in which the exceptional
 curve is x = 0. The strict transform is then the exact exponent shift
 (i, j) -> (i + j - m, j), where m is the multiplicity being blown up.
+
+``_aligned_stages`` yields each stage aligned once; that polynomial feeds
+both the next blowup and the stage's mu and tau, which find it aligned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import gcd
 from typing import Iterator, Optional, Sequence, Union
 
@@ -44,8 +48,11 @@ class BlowupStep:
     strict_transform: Polynomial
 
 
-def _shift_exponents(f: Polynomial, m: int) -> Polynomial:
-    return Polynomial({(i + j - m, j): c for (i, j), c in f.terms.items()})
+def _blowup(aligned: Polynomial, direction: Direction, m: int) -> BlowupStep:
+    """The blowup at ``direction`` of a germ of multiplicity m, already aligned."""
+    chart = "y" if isinstance(direction, Vertical) else "x"
+    shifted = Polynomial({(i + j - m, j): c for (i, j), c in aligned.terms.items()})
+    return BlowupStep(chart, direction, m, shifted)
 
 
 def strict_transform_once(f: Polynomial) -> BlowupStep:
@@ -62,14 +69,7 @@ def strict_transform_once(f: Polynomial) -> BlowupStep:
         raise ReducibleTangentConeError(
             "tangent cone has several directions; the germ is not a branch here"
         )
-    chart = "y" if isinstance(direction, Vertical) else "x"
-    transformed = _shift_exponents(f.align_tangent(direction), m)
-    return BlowupStep(
-        chart=chart,
-        direction=direction,
-        multiplicity_before=m,
-        strict_transform=transformed,
-    )
+    return _blowup(f.align_tangent(direction), direction, m)
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,45 @@ class ResolutionSequence:
     final_smooth: Polynomial
 
 
+#: One stage of a resolution: the aligned germ and the blowup that made it.
+Stage = tuple[Polynomial, Optional[BlowupStep]]
+
+
+def _aligned_stages(f: Polynomial) -> Iterator[Stage]:
+    """(aligned stage, the blowup that made it or None) along f's resolution.
+
+    Blows up the polynomial it yields, after yielding it, so stage 0 comes
+    out of any germ; the errors are resolve_branch's.
+    """
+    _require_germ(f)
+    budget = 10 * f.total_degree() ** 2
+    current, step = f, None
+    for stage in count():
+        m = current.order()
+        direction = tangent_data(current) if m >= 2 else None
+        aligned = current if direction is None else current.align_tangent(direction)
+        yield aligned, step
+        if m < 2:
+            return
+        if stage >= budget:
+            raise NonIsolatedSingularityError(
+                f"not smooth after {budget} blowups; the germ is not reduced"
+            )
+        if direction is None:
+            raise NotABranchError(
+                f"tangent cone splits at stage {stage}; the germ is not a branch",
+                stage=stage,
+            )
+        step = _blowup(aligned, direction, m)
+        current = step.strict_transform
+
+
+def _sequence(stages: list[Stage]) -> ResolutionSequence:
+    """The resolution sequence of a complete list of aligned stages."""
+    steps = tuple(step for _, step in stages[1:])
+    return ResolutionSequence(steps, tuple(s.multiplicity_before for s in steps), stages[-1][0])
+
+
 def resolve_branch(f: Polynomial) -> ResolutionSequence:
     """Blow up repeatedly until the followed germ is smooth.
 
@@ -89,29 +128,7 @@ def resolve_branch(f: Polynomial) -> ResolutionSequence:
     the process exceeds 10 * deg(f)^2 steps, which only a non-reduced germ
     can do.
     """
-    _require_germ(f)
-    budget = 10 * f.total_degree() ** 2
-    steps: list[BlowupStep] = []
-    current = f
-    while current.order() >= 2:
-        if len(steps) >= budget:
-            raise NonIsolatedSingularityError(
-                f"not smooth after {budget} blowups; the germ is not reduced"
-            )
-        try:
-            step = strict_transform_once(current)
-        except ReducibleTangentConeError as exc:
-            raise NotABranchError(
-                f"tangent cone splits at stage {len(steps)}; the germ is not a branch",
-                stage=len(steps),
-            ) from exc
-        steps.append(step)
-        current = step.strict_transform
-    return ResolutionSequence(
-        steps=tuple(steps),
-        multiplicity_sequence=tuple(s.multiplicity_before for s in steps),
-        final_smooth=current,
-    )
+    return _sequence(list(_aligned_stages(f)))
 
 
 def delta_from_sequence(seq: ResolutionSequence) -> int:

@@ -190,7 +190,7 @@ COUNTED = {
     "milnor_number": localalg.milnor_number,
     "tjurina_number": localalg.tjurina_number,
     "milnor_tjurina": localalg.milnor_tjurina,
-    "resolve_branch": resolution.resolve_branch,
+    "_aligned_stages": resolution._aligned_stages,
 }
 
 
@@ -224,10 +224,56 @@ def call_counts(monkeypatch):
     ],
 )
 def test_each_stage_is_computed_once(call_counts, capsys, argv, expected):
-    # mu, tau, (mu, tau) together, resolve_branch
+    # mu, tau, (mu, tau) together, the walk over the resolution's stages
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert tuple(call_counts.values()) == expected
+
+
+@pytest.fixture
+def shears(monkeypatch):
+    """Every polynomial that align_tangent shears by a nonzero slope, once per shear."""
+    sheared = []
+    align = polynomials.Polynomial.align_tangent
+
+    def counted(self, direction):
+        if isinstance(direction, polynomials.Slope) and direction.t != 0:
+            sheared.append(self)
+        return align(self, direction)
+
+    monkeypatch.setattr(polynomials.Polynomial, "align_tangent", counted)
+    return sheared
+
+
+def _sloped_branches():
+    x, y = polynomials.X, polynomials.Y
+    germ_d = (x**12 + y**13).substitute(x + y**2 + 2 * y, y + x**2 - x)
+    rotated = polynomials.parse_polynomial("x^3 + y^7 + x*y^5").substitute_linear(
+        ((1, -2), (-2, 1))
+    )
+    # the corpus' s_b_4_6_7: sloped tangents at stages 0 and 2
+    s_b_4_6_7 = polynomials.parse_polynomial(
+        "y^4 + 4 x*y^3 + 6 x^2*y^2 + 4 x^3*y + x^4 - 2 x^3*y^2 - 4 x^4*y - 2 x^5"
+        " - 4 x^5*y - 3 x^6 - x^7"
+    )
+    return [
+        pytest.param(germ_d, 1, id="D"),
+        pytest.param(rotated, 1, id="rotated"),
+        pytest.param(s_b_4_6_7, 2, id="s_b_4_6_7"),
+    ]
+
+
+@pytest.mark.parametrize("f,sloped", _sloped_branches())
+@pytest.mark.parametrize(
+    "command", ["germ_report", "verify_branch", "blowup_law_check", "analyze", "verify", "resolve"]
+)
+def test_no_stage_is_sheared_twice(shears, capsys, f, sloped, command):
+    if command in ("analyze", "verify", "resolve"):
+        assert run(capsys, command, str(f))[0] == 0
+    else:
+        getattr(germlab, command)(f)
+    # every command resolves f in full and shears each sloped stage once
+    assert len(shears) == len(set(shears)) == sloped
 
 
 @pytest.mark.parametrize(

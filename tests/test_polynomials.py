@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from germlab.cli import _parse_corpus, _read_corpus_text
 from germlab.errors import (
     DegreeCapError,
     ParseError,
@@ -22,6 +23,7 @@ from germlab.polynomials import (
     Slope,
     parse_polynomial,
 )
+from germlab.resolution import strict_transform_once
 
 
 # -- construction and basic queries ------------------------------------
@@ -260,6 +262,69 @@ def test_direction_repr():
     assert str(VERTICAL) == "x = 0"
     assert Slope(Fraction(1)) == Slope(Fraction(1))
     assert Slope(Fraction(1)) != VERTICAL
+
+
+# -- tangent alignment ---------------------------------------------------
+
+
+def _assert_shear_is_the_linear_substitution(p, t):
+    got = p.align_tangent(Slope(t))
+    want = p.substitute_linear(((1, 0), (t, 1)))
+    assert got == want
+    assert str(got) == str(want)
+
+
+@pytest.mark.parametrize(
+    "t", [Fraction(3, 7), Fraction(-5, 4), Fraction(-2), Fraction(1, 9), Fraction(-11, 6)]
+)
+def test_integer_shear_is_the_linear_substitution(t):
+    fixed = [
+        parse_polynomial("2/3 y^3 - 5/4 x^2*y + 7 x^4 - 1/6 x*y^5"),
+        parse_polynomial("3/5 x^3 - x^7"),  # no y: the shear leaves it as it is
+        parse_polynomial("y^4 - 2*x^3*y^2 - 4*x^5*y + x^6 - x^7"),
+        ZERO,
+        ONE,
+    ]
+    rng = random.Random(775)
+    for p in fixed + [_random_poly(rng, max_terms=8, max_deg=7) for _ in range(60)]:
+        _assert_shear_is_the_linear_substitution(p, t)
+
+
+def test_align_tangent_short_circuits():
+    p = parse_polynomial("y^2 - 3 x^3 + 1/2 x*y")
+    assert p.align_tangent(Slope(Fraction(0))) is p
+    assert p.align_tangent(VERTICAL) == p.substitute_linear(((0, 1), (1, 0)))
+
+
+def _stages_to_align():
+    germs = {
+        f"{corpus}:{entry.id}": parse_polynomial(entry.polynomial)
+        for corpus in ("paper_examples", "branches")
+        for entry in _parse_corpus(_read_corpus_text(corpus))
+    }
+    germs["B"] = (X**7 + Y**9).substitute(X + Y**2 + 2 * Y, Y + 3 * X**2 - X)
+    germs["C"] = (X**9 + Y**10 + X**5 * Y**5).substitute(
+        X + Y**3 + Fraction(2, 3) * Y, Y + 3 * X**2 - 5 * X
+    )
+    germs["D"] = (X**12 + Y**13).substitute(X + Y**2 + 2 * Y, Y + X**2 - X)
+    return germs
+
+
+def test_align_tangent_on_every_resolution_stage():
+    sloped = 0
+    for name, f in _stages_to_align().items():
+        while f.order() >= 2 and (direction := f.tangent_direction()) is not None:
+            if direction == VERTICAL:
+                assert f.align_tangent(direction) == f.swap_variables(), name
+            elif direction.t == 0:
+                assert f.align_tangent(direction) is f, name
+            else:
+                _assert_shear_is_the_linear_substitution(f, direction.t)
+                sloped += 1
+            f = strict_transform_once(f).strict_transform
+    # stage 0 of s_cusp, s_q_3_4, s_p_3_7, s_b_4_6_7, B, C and D, and stage 2
+    # of b_4_6_7 and s_b_4_6_7
+    assert sloped == 9
 
 
 # -- algebraic laws on random inputs ------------------------------------
