@@ -105,8 +105,11 @@ class CorpusEntry:
 
 def _read_corpus_text(path: str) -> str:
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                return handle.read()
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"{path}: not UTF-8 text ({exc})") from None
     if path in _BUNDLED_CORPORA:
         return (
             resources.files("germlab.data").joinpath(f"{path}.corpus").read_text("utf-8")

@@ -57,6 +57,7 @@ def _report_and_stages(
     f: Polynomial,
 ) -> tuple[InvariantReport, list[Stage] | NotABranchError]:
     """germ_report's work, with f's aligned stages or the error that refused them."""
+    # the CLI pins `analyze "0"` to this error and `resolve "0"` to NotAGermError
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial defines no germ")
     stages = _aligned_stages(f)

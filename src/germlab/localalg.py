@@ -30,6 +30,9 @@ there cannot cancel out in the cross-check. Its codimension is a rank, which
 no pivot order changes: it needs the codes only injective, additive and
 ordered by degree (pinned up to degree 600), and pivots in the local order
 only because that keeps the elimination sparse.
+
+Mu and tau run on the germ as ``Polynomial.aligned`` returns it; that keeps both
+colengths, and Mora avoids long cancellation chains when the initial form is y^m.
 """
 
 from __future__ import annotations
@@ -43,10 +46,9 @@ from typing import Collection, Iterable, Sequence
 from .errors import (
     ComputationBudgetError,
     NonIsolatedSingularityError,
-    NotAGermError,
     ZeroIdealError,
 )
-from .polynomials import Polynomial
+from .polynomials import ONE, Polynomial
 
 Exponent = tuple[int, int]
 
@@ -349,7 +351,8 @@ def _minimal_basis(pool: list[PoolEntry]) -> StandardBasis:
             keep.append(idx)
     return StandardBasis(
         generators=tuple(
-            Polynomial({_decode(k): Fraction(c) for k, c in pool[idx][0].items()})
+            # codes decode to distinct exponents and zero terms are never kept
+            Polynomial._raw({_decode(k): Fraction(c) for k, c in pool[idx][0].items()})
             for idx in keep
         ),
         leading_exponents=frozenset(lead[idx] for idx in keep),
@@ -371,7 +374,7 @@ def standard_basis(generators: Iterable[Polynomial]) -> StandardBasis:
     # never halts early, so short-circuit instead of completing
     if any(entry[1] == 0 for entry in pool):
         return StandardBasis(
-            generators=(Polynomial({(0, 0): 1}),),
+            generators=(ONE,),
             leading_exponents=frozenset([(0, 0)]),
         )
     _complete(pool, 1)
@@ -411,32 +414,9 @@ def _highest_corner(heights: list[int]) -> int:
     return max([len(heights)] + [i + h for i, h in enumerate(heights)])
 
 
-def _require_germ(f: Polynomial) -> None:
-    if f.is_zero():
-        raise NotAGermError("the zero polynomial defines no germ")
-    if f.coefficient(0, 0) != 0:
-        raise NotAGermError("the polynomial does not vanish at the origin")
-
-
-def _align_tangent_cone(f: Polynomial) -> Polynomial:
-    """Check the germ, then move a single-direction tangent cone onto y = 0.
-
-    Both colengths below are invariant under invertible linear substitutions,
-    and Mora reduction behaves far better (no coefficient blow-up through
-    long cancellation chains) when the initial form is a pure power of y.
-    Germs whose tangent cone already spreads over several directions are
-    returned unchanged, and so are aligned ones such as resolution stages.
-    """
-    _require_germ(f)
-    if f.order() < 2:
-        return f
-    direction = f.tangent_direction()
-    return f if direction is None else f.align_tangent(direction)
-
-
 def _jacobian(f: Polynomial) -> tuple[Polynomial, StandardBasis, list[int]]:
     """The aligned germ, the standard basis of its Jacobian ideal and its column heights."""
-    g = _align_tangent_cone(f)
+    g = f.aligned()[0]
     jacobian = standard_basis(g.partials())
     heights = _column_heights(jacobian.leading_exponents)
     if heights is None:
@@ -457,7 +437,7 @@ def tjurina_number(f: Polynomial) -> int:
     completion hangs (germ A of the roadmap, in milliseconds). The route
     stays separate until mu's completion has the highest corner.
     """
-    g = _align_tangent_cone(f)
+    g = f.aligned()[0]
     value = colength(standard_basis([g, *g.partials()]))
     if value is INFINITE:
         raise NonIsolatedSingularityError("the singular locus is not isolated")

@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (
     DegreeCapError,
+    NotAGermError,
     ParseError,
     SingularMatrixError,
     UnknownVariableError,
@@ -302,6 +303,24 @@ class Polynomial:
                 acc[key] = acc.get(key, 0) + a * comb(j, k) * weights[k]
         den = common * q**top
         return Polynomial._raw({key: Fraction(v, den) for key, v in acc.items() if v})
+
+    def require_germ(self) -> None:
+        """Raise NotAGermError unless the polynomial is nonzero and vanishes at the origin."""
+        if not self._terms:
+            raise NotAGermError("the zero polynomial defines no germ")
+        if (0, 0) in self._terms:
+            raise NotAGermError("the polynomial does not vanish at the origin")
+
+    def aligned(self) -> tuple["Polynomial", Optional[Direction], int]:
+        """(aligned germ, tangent direction, multiplicity m), after the germ check.
+
+        A single tangent of a singular germ is moved onto y = 0 by ``align_tangent``;
+        a smooth germ or a split tangent cone comes back as is, with direction None.
+        """
+        self.require_germ()
+        m = self.order()
+        direction = self.tangent_direction() if m >= 2 else None
+        return (self if direction is None else self.align_tangent(direction)), direction, m
 
     # -- printing --------------------------------------------------------
 

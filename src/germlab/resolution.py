@@ -1,13 +1,13 @@
 """Point blowups of plane curve germs and resolution of branches.
 
-One blowup step normalizes the tangent direction first (shear for a slope,
-swap of x and y for a vertical tangent) so that the followed point of the
-strict transform is always the origin of the chart in which the exceptional
-curve is x = 0. The strict transform is then the exact exponent shift
-(i, j) -> (i + j - m, j), where m is the multiplicity being blown up.
+One blowup step blows up a germ aligned by ``Polynomial.aligned`` (shear for
+a slope, swap of x and y for a vertical tangent), so that the followed point
+of the strict transform is always the origin of the chart in which the
+exceptional curve is x = 0. The strict transform is then the exact exponent
+shift (i, j) -> (i + j - m, j), where m is the multiplicity being blown up.
 
-``_aligned_stages`` yields each stage aligned once; that polynomial feeds
-both the next blowup and the stage's mu and tau, which find it aligned.
+``_aligned_stages`` aligns each stage once, for both the next blowup and the
+stage's mu and tau. Of the package, this module imports only ``polynomials``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     NotSingularError,
     ReducibleTangentConeError,
 )
-from .localalg import _require_germ
 from .polynomials import Direction, Polynomial, Vertical
 
 
@@ -34,7 +33,7 @@ def tangent_data(f: Polynomial) -> Optional[Direction]:
 
     See ``Polynomial.tangent_direction``; this adds the germ check.
     """
-    _require_germ(f)
+    f.require_germ()
     return f.tangent_direction()
 
 
@@ -51,7 +50,8 @@ class BlowupStep:
 def _blowup(aligned: Polynomial, direction: Direction, m: int) -> BlowupStep:
     """The blowup at ``direction`` of a germ of multiplicity m, already aligned."""
     chart = "y" if isinstance(direction, Vertical) else "x"
-    shifted = Polynomial({(i + j - m, j): c for (i, j), c in aligned.terms.items()})
+    # (i, j) -> (i + j - m, j) is injective and every degree is >= m: no checks needed
+    shifted = Polynomial._raw({(i + j - m, j): c for (i, j), c in aligned.terms.items()})
     return BlowupStep(chart, direction, m, shifted)
 
 
@@ -61,15 +61,14 @@ def strict_transform_once(f: Polynomial) -> BlowupStep:
     Requires a singular germ whose tangent cone is a single direction;
     raises NotSingularError or ReducibleTangentConeError otherwise.
     """
-    direction = tangent_data(f)
-    m = f.order()
+    aligned, direction, m = f.aligned()
     if m < 2:
         raise NotSingularError("the germ is smooth; nothing to blow up")
     if direction is None:
         raise ReducibleTangentConeError(
             "tangent cone has several directions; the germ is not a branch here"
         )
-    return _blowup(f.align_tangent(direction), direction, m)
+    return _blowup(aligned, direction, m)
 
 
 @dataclass(frozen=True)
@@ -91,13 +90,10 @@ def _aligned_stages(f: Polynomial) -> Iterator[Stage]:
     Blows up the polynomial it yields, after yielding it, so stage 0 comes
     out of any germ; the errors are resolve_branch's.
     """
-    _require_germ(f)
+    aligned, direction, m = f.aligned()
     budget = 10 * f.total_degree() ** 2
-    current, step = f, None
+    step = None
     for stage in count():
-        m = current.order()
-        direction = tangent_data(current) if m >= 2 else None
-        aligned = current if direction is None else current.align_tangent(direction)
         yield aligned, step
         if m < 2:
             return
@@ -111,7 +107,7 @@ def _aligned_stages(f: Polynomial) -> Iterator[Stage]:
                 stage=stage,
             )
         step = _blowup(aligned, direction, m)
-        current = step.strict_transform
+        aligned, direction, m = step.strict_transform.aligned()
 
 
 def _sequence(stages: list[Stage]) -> ResolutionSequence:

@@ -21,7 +21,6 @@ from germlab.invariants import (
 )
 from germlab.localalg import (
     UNSTABLE,
-    _align_tangent_cone,
     colength,
     colength_oracle,
     milnor_number,
@@ -233,7 +232,7 @@ def test_criterion_09_oracle_agreement(capsys, branch_entries, reference_entries
     germs = [bundle["poly"] for bundle in branch_entries]
     germs += [entry["poly"] for entry in reference_entries]
     for poly in germs:
-        aligned = _align_tangent_cone(poly)
+        aligned = poly.aligned()[0]
         gx, gy = aligned.partials()
         for gens in ([gx, gy], [aligned, gx, gy]):
             fast = colength(standard_basis(gens))

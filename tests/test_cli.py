@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -245,17 +246,20 @@ def shears(monkeypatch):
     return sheared
 
 
+# the corpus' s_b_4_6_7: sloped tangents at stages 0 and 2
+S_B_4_6_7 = (
+    "y^4 + 4 x*y^3 + 6 x^2*y^2 + 4 x^3*y + x^4 - 2 x^3*y^2 - 4 x^4*y - 2 x^5"
+    " - 4 x^5*y - 3 x^6 - x^7"
+)
+
+
 def _sloped_branches():
     x, y = polynomials.X, polynomials.Y
     germ_d = (x**12 + y**13).substitute(x + y**2 + 2 * y, y + x**2 - x)
     rotated = polynomials.parse_polynomial("x^3 + y^7 + x*y^5").substitute_linear(
         ((1, -2), (-2, 1))
     )
-    # the corpus' s_b_4_6_7: sloped tangents at stages 0 and 2
-    s_b_4_6_7 = polynomials.parse_polynomial(
-        "y^4 + 4 x*y^3 + 6 x^2*y^2 + 4 x^3*y + x^4 - 2 x^3*y^2 - 4 x^4*y - 2 x^5"
-        " - 4 x^5*y - 3 x^6 - x^7"
-    )
+    s_b_4_6_7 = polynomials.parse_polynomial(S_B_4_6_7)
     return [
         pytest.param(germ_d, 1, id="D"),
         pytest.param(rotated, 1, id="rotated"),
@@ -409,6 +413,15 @@ def test_corpus_missing_file_exit_two(capsys):
     assert "no such corpus" in err
 
 
+def test_corpus_not_utf8_exit_two(tmp_path, capsys):
+    path = tmp_path / "bad.corpus"
+    path.write_bytes(b"a\t\xff\xfe x^2\n")
+    code, out, err = run(capsys, "corpus", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: CorpusFormatError: {path}: not UTF-8 text")
+
+
 @pytest.mark.parametrize(
     "line,fragment",
     [
@@ -548,3 +561,22 @@ options:
 def test_whole_table_and_help_output(monkeypatch, capsys, argv):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     assert run(capsys, *argv) == (0, WHOLE_OUTPUT[argv], "")
+
+
+# sha1 of stdout: these outputs must stay byte-identical
+PINNED_STDOUT = {
+    ("corpus", "paper_examples", "--format", "json"): "f52b86012117e4d1b4ad126b82ed4dc88eb8a062",
+    ("corpus", "branches", "--format", "json"): "f9ea36ab4f86993ad1379db82e4daf3094fa99b1",
+    ("corpus", "branches"): "f5b85793116e0f7e89078487aae832906280091d",
+    ("verify", "x^3 + y^7 + x*y^5", "--format", "json"):
+        "4d16dafbcd0f731ae871b056a29aa16bbbe5c55b",
+    ("resolve", THREE_BLOWUPS, "--format", "json"): "73dc61a4ab7181db1f6642d8891371101616619b",
+    ("resolve", S_B_4_6_7, "--format", "json"): "535d3cfa3c7e3a582c5b19cc5218204d841c2f5a",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=" ".join)
+def test_stdout_bytes_are_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha1(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[argv]

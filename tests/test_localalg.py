@@ -20,7 +20,6 @@ from germlab.cli import _parse_corpus, _read_corpus_text, main
 from germlab.localalg import (
     INFINITE,
     UNSTABLE,
-    _align_tangent_cone,
     _column_heights,
     _decode,
     _divides,
@@ -570,7 +569,7 @@ def _oracle(gens):
 
 def _exact_milnor_tjurina(f):
     """milnor_tjurina(f), checked against a fresh tau basis and the oracle."""
-    g = _align_tangent_cone(f)
+    g = f.aligned()[0]
     gx, gy = g.partials()
     pair = milnor_tjurina(f)
     assert pair == (milnor_number(f), colength(standard_basis([g, gx, gy])))
@@ -703,7 +702,7 @@ def test_milnor_tjurina_under_nonlinear_coordinate_changes(p, q, c, d):
 
 def _jacobian_corner(f):
     """Highest corner of the aligned Jacobian basis, with its leading exponents."""
-    leading = standard_basis(_align_tangent_cone(f).partials()).leading_exponents
+    leading = standard_basis(f.aligned()[0].partials()).leading_exponents
     return _highest_corner(_column_heights(leading)), leading
 
 
@@ -824,7 +823,7 @@ def test_every_s_pair_of_a_standard_basis_reduces_to_zero(family):
     # a certificate that does not trust the completion's pair selection:
     # all pairs of the minimal generators, coprime ones included
     for f in _certificate_germs(family):
-        g = _align_tangent_cone(f)
+        g = f.aligned()[0]
         gx, gy = g.partials()
         # the from-scratch tau completion of the strict-xfail draw hangs
         ideals = [[gx, gy]] if str(f) in MORA_HANGS else [[gx, gy], [g, gx, gy]]

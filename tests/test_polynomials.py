@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import germlab
 from germlab.cli import _parse_corpus, _read_corpus_text
 from germlab.errors import (
     DegreeCapError,
+    GermError,
+    NotAGermError,
     ParseError,
     SingularMatrixError,
     UnknownVariableError,
@@ -294,6 +297,54 @@ def test_align_tangent_short_circuits():
     p = parse_polynomial("y^2 - 3 x^3 + 1/2 x*y")
     assert p.align_tangent(Slope(Fraction(0))) is p
     assert p.align_tangent(VERTICAL) == p.substitute_linear(((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize(
+    "text,direction,m,aligned",
+    [
+        ("x + y^5", None, 1, "x + y^5"),  # smooth: unchanged
+        ("x*y", None, 2, "x*y"),  # two tangent directions: unchanged
+        ("y^2 - x^3", Slope(Fraction(0)), 2, "y^2 - x^3"),
+        ("x^3 + y^5", VERTICAL, 3, "y^3 + x^5"),
+        ("y^2 - 2 x*y + x^2 - x^3", Slope(Fraction(1)), 2, "y^2 - x^3"),
+    ],
+)
+def test_aligned_moves_a_single_tangent_onto_y_zero(text, direction, m, aligned):
+    f = parse_polynomial(text)
+    assert f.aligned() == (parse_polynomial(aligned), direction, m)
+
+
+GERM_ENTRY_POINTS = [
+    "germ_report",
+    "verify_branch",
+    "milnor_number",
+    "tjurina_number",
+    "milnor_tjurina",
+    "resolve_branch",
+    "strict_transform_once",
+    "tangent_data",
+    "blowup_law_check",
+    "resolution_law_checks",
+    "theorem_verify",
+]
+
+
+@pytest.mark.parametrize("name", GERM_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("0", "the zero polynomial defines no germ"),
+        ("1 + x", "the polynomial does not vanish at the origin"),
+        ("2", "the polynomial does not vanish at the origin"),
+    ],
+)
+def test_every_entry_point_runs_the_same_germ_check(name, text, message):
+    # the reports refuse 0 before resolving it, with their own error type
+    zero_first = text == "0" and name in ("germ_report", "verify_branch")
+    error = ZeroPolynomialError if zero_first else NotAGermError
+    with pytest.raises(GermError) as info:
+        getattr(germlab, name)(parse_polynomial(text))
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 def _stages_to_align():
