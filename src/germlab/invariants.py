@@ -105,7 +105,11 @@ def verify_branch(f: Polynomial) -> tuple[InvariantReport, list[LawCheck], list[
 
 
 def dmin_lower(m: int) -> int:
-    """Sharp lower bound for the extra tau drop of one blowup at multiplicity m."""
+    """Sharp lower bound for the extra tau drop of one blowup at multiplicity m.
+
+    It equals floor(m^2/4), h^2 for m = 2h and h(h+1) for m = 2h + 1, so the
+    tau drop that _law_check asks for is m(m-1)/2 + floor(m^2/4).
+    """
     if m < 2:
         raise MultiplicityTooSmallError("the bound is defined for multiplicity >= 2")
     half = m // 2
@@ -114,7 +118,7 @@ def dmin_lower(m: int) -> int:
 
 
 def claim_check(m: int) -> bool:
-    """Whether the bound strictly beats one quarter of m*(m-1), exactly."""
+    """Whether 4*dmin_lower(m) > m(m-1); always, as 4h^2 > 2h(2h-1) and 4h(h+1) > 2h(2h+1)."""
     return 4 * dmin_lower(m) > m * (m - 1)
 
 

@@ -22,14 +22,14 @@ Two independent colength computations live here on purpose:
   integer Gaussian elimination, certifying exactness via stability at two
   consecutive caps.
 
-They share only the input format: ``_to_int_terms`` clears denominators,
-``_encode`` codes monomials as integers in the local order, and ``_normalized``
-divides out the content and makes the leading coefficient positive. The
-oracle never calls Mora's reduction, normal form or completion, so a fault
-there cannot cancel out in the cross-check. Its codimension is a rank, which
-no pivot order changes: it needs the codes only injective, additive and
-ordered by degree (pinned up to degree 600), and pivots in the local order
-only because that keeps the elimination sparse.
+They share only the input format: ``Polynomial._integer_form`` clears the
+denominators, ``_encode`` codes monomials as integers in the local order, and
+``_normalized`` divides out the content and makes the leading coefficient
+positive. The oracle never calls Mora's reduction, normal form or completion,
+so a fault there cannot cancel out in the cross-check. Its codimension is a
+rank, which no pivot order changes: it needs the codes only injective,
+additive and ordered by degree (pinned up to degree 600), and pivots in the
+local order only because that keeps the elimination sparse.
 
 Mu and tau run on the germ as ``Polynomial.aligned`` returns it; that keeps both
 colengths, and Mora avoids long cancellation chains when the initial form is y^m.
@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Collection, Iterable, Sequence
 
 from .errors import (
@@ -97,12 +97,6 @@ def _decode(code: int) -> Exponent:
     return (i, d - i)
 
 
-def _to_int_terms(p: Polynomial) -> dict[Exponent, int]:
-    """Clear denominators; the result spans the same ideal."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in p.terms.items()}
-
-
 def _normalized(terms: CodeTerms) -> tuple[CodeTerms, int | None]:
     """Divide by the content, make the leading coefficient positive, return the lead."""
     if not terms:
@@ -141,7 +135,7 @@ def _truncated_codimension(polys: Sequence[Polynomial], cap: int) -> int:
     cut = _encode((cap + 1, 0))
     pivots: dict[int, CodeTerms] = {}
     for p in polys:
-        base = {_encode(k): c for k, c in _to_int_terms(p).items()}
+        base = {_encode(k): a for k, a in p._integer_form()[1]}
         for d in range(cap - _degree(min(base)) + 1):
             for mi in range(d, -1, -1):
                 shift = _encode((mi, d - mi))
@@ -277,8 +271,7 @@ def _s_polynomial(
 
 def _entry(p: Polynomial, cut: int = _NO_CUT) -> PoolEntry | None:
     """The pool entry of p without its terms at or above the cut; None if none remain."""
-    terms = {_encode(k): c for k, c in _to_int_terms(p).items()}
-    terms, lead = _normalized({k: c for k, c in terms.items() if k < cut})
+    terms, lead = _normalized({c: a for k, a in p._integer_form()[1] if (c := _encode(k)) < cut})
     return None if lead is None else _pool_entry(terms, lead)
 
 

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
     DegreeCapError,
@@ -121,27 +121,18 @@ class Polynomial:
     def tangent_direction(self) -> Optional[Direction]:
         """The single direction of the tangent cone, or None if it has several.
 
-        Returns the direction when the initial form is a nonzero constant
-        times the m-th power of one linear form. Over Q an initial form with
-        no rational root structure factors with several directions, so it is
-        never a pure power.
+        The initial form must be c * l^m, l = x if y^m is missing, else y - t*x:
+        moving l onto y = 0 (a swap, or ``_shear``) must leave c * y^m alone.
         """
         m = self.order()
         init = self.initial_form()
         top = init.coefficient(0, m)
         if top == 0:
-            # x divides the initial form; pure only if it is c * x^m
-            if len(init) == 1 and init.coefficient(m, 0) != 0:
-                return VERTICAL
-            return None
-        t = -init.coefficient(1, m - 1) / (top * m)
-        if t == 0:
-            # every aligned germ lands here: pure only if it is c * y^m
-            return Slope(t) if len(init) == 1 else None
-        expected = Polynomial(
-            {(k, m - k): top * comb(m, k) * (-t) ** k for k in range(m + 1)}
-        )
-        return Slope(t) if expected == init else None
+            direction, moved = VERTICAL, init.swap_variables()
+        else:
+            direction = Slope(-init.coefficient(1, m - 1) / (top * m))
+            moved = init._shear(direction.t)
+        return direction if moved._terms.keys() == {(0, m)} else None
 
     def partials(self) -> tuple["Polynomial", "Polynomial"]:
         """Both first partial derivatives, x first."""
@@ -274,35 +265,41 @@ class Polynomial:
         py = Polynomial({(1, 0): c, (0, 1): d, (0, 0): g})
         return self.substitute(px, py)
 
-    def align_tangent(self, direction: Direction) -> "Polynomial":
-        """Move a tangent direction onto the line y = 0.
+    def _integer_form(self) -> tuple[int, Iterator[tuple[Exponent, int]]]:
+        """(L, pairs (exponent, a)): L the lcm of the denominators, each coefficient a / L."""
+        common = lcm(*(c.denominator for c in self._terms.values()))
+        pairs = ((k, c.numerator * (common // c.denominator)) for k, c in self._terms.items())
+        return common, pairs
 
-        Swaps x and y for the vertical direction and shears y -> t*x + y for
-        the slope t, so an initial form c * l^m becomes c * y^m.
+    def _shear(self, t: Fraction) -> "Polynomial":
+        """f(x, t*x + y), equal to ``substitute_linear(((1, 0), (t, 1)))``.
 
-        The shear is exact integer arithmetic: with t = p/q, J = deg_y f and
-        c_ij = a_ij / L over a common denominator L, the binomial expansion
-        makes each term of f(x, t x + y) an integer sum of
-        a_ij C(j, k) p^k q^(J - k) over L q^J. One Fraction per term reduces
-        it, so the result equals ``substitute_linear(((1, 0), (t, 1)))``.
+        With t = p/q, J = deg_y f and coefficients a_ij / L, each term is an integer
+        sum of a_ij C(j, k) p^k q^(J - k) over L q^J, reduced by one Fraction.
         """
-        if isinstance(direction, Vertical):
-            return self.swap_variables()
-        t = Fraction(direction.t)
         if t == 0:
             return self
         p, q = t.numerator, t.denominator
-        common = lcm(*(c.denominator for c in self._terms.values()))
+        common, numerators = self._integer_form()
         top = max((j for _, j in self._terms), default=0)
         weights = [p**k * q ** (top - k) for k in range(top + 1)]
         acc: dict[Exponent, int] = {}
-        for (i, j), c in self._terms.items():
-            a = c.numerator * (common // c.denominator)
+        for (i, j), a in numerators:
             for k in range(j + 1):
                 key = (i + k, j - k)
                 acc[key] = acc.get(key, 0) + a * comb(j, k) * weights[k]
         den = common * q**top
         return Polynomial._raw({key: Fraction(v, den) for key, v in acc.items() if v})
+
+    def align_tangent(self, direction: Direction) -> "Polynomial":
+        """Move a tangent direction onto the line y = 0.
+
+        Swaps x and y for the vertical direction and shears y -> t*x + y for
+        the slope t, so an initial form c * l^m becomes c * y^m.
+        """
+        if isinstance(direction, Vertical):
+            return self.swap_variables()
+        return self._shear(Fraction(direction.t))
 
     def require_germ(self) -> None:
         """Raise NotAGermError unless the polynomial is nonzero and vanishes at the origin."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from math import gcd
+from math import comb, gcd
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -89,9 +89,14 @@ def _aligned_stages(f: Polynomial) -> Iterator[Stage]:
 
     Blows up the polynomial it yields, after yielding it, so stage 0 comes
     out of any germ; the errors are resolve_branch's.
+
+    A reduced germ never meets the budget d(d-1)/2, d = deg f: each blowup is at
+    m >= 2 and adds m(m-1)/2 >= 1 to delta, so a singular stage s means delta >=
+    s + 1, while local Bezout on f_x, f_y gives mu <= (d-1)^2 and, with r <= d
+    branches, Milnor's delta = (mu + r - 1)/2 <= d(d-1)/2.
     """
     aligned, direction, m = f.aligned()
-    budget = 10 * f.total_degree() ** 2
+    budget = comb(f.total_degree(), 2)
     step = None
     for stage in count():
         yield aligned, step
@@ -121,8 +126,8 @@ def resolve_branch(f: Polynomial) -> ResolutionSequence:
 
     Raises NotABranchError (with the failing stage) as soon as some stage
     shows several tangent directions, and NonIsolatedSingularityError when
-    the process exceeds 10 * deg(f)^2 steps, which only a non-reduced germ
-    can do.
+    the process exceeds deg(f)(deg(f) - 1)/2 steps, which only a non-reduced
+    germ can do.
     """
     return _sequence(list(_aligned_stages(f)))
 

@@ -112,6 +112,10 @@ def test_dmin_lower_values():
     assert dmin_lower(5) == 6
 
 
+def test_dmin_lower_is_the_floor_of_a_quarter_square():
+    assert all(dmin_lower(m) == m * m // 4 for m in range(2, 10**4 + 1))
+
+
 def test_dmin_lower_rejects_small():
     with pytest.raises(MultiplicityTooSmallError):
         dmin_lower(1)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -347,6 +348,76 @@ def test_every_entry_point_runs_the_same_germ_check(name, text, message):
     assert (type(info.value), str(info.value)) == (error, message)
 
 
+def _reference_tangent_direction(f):
+    """Reference rule: rebuild top * (y - t*x)^m and compare it with the initial form."""
+    m = f.order()
+    init = f.initial_form()
+    top = init.coefficient(0, m)
+    if top == 0:
+        if len(init) == 1 and init.coefficient(m, 0) != 0:
+            return VERTICAL
+        return None
+    t = -init.coefficient(1, m - 1) / (top * m)
+    if t == 0:
+        return Slope(t) if len(init) == 1 else None
+    expected = Polynomial({(k, m - k): top * comb(m, k) * (-t) ** k for k in range(m + 1)})
+    return Slope(t) if expected == init else None
+
+
+def _assert_the_tangent_rule_is_unchanged(f):
+    direction = _reference_tangent_direction(f)
+    assert f.tangent_direction() == direction, str(f)
+    m = f.order()
+    if m < 2 or direction is None:
+        want = f
+    elif direction == VERTICAL:
+        want = f.swap_variables()
+    else:
+        want = f.substitute_linear(((1, 0), (direction.t, 1)))
+    assert f.aligned() == (want, direction if m >= 2 else None, m), str(f)
+
+
+SLOPES = [Fraction(t) for t in (-3, Fraction(-3, 2), -1, 0, Fraction(1, 3), Fraction(5, 7), 1, 2)]
+
+
+def _products_of_lines(f, first, m):
+    """f times every product of at most m lines y - t*x, slopes from SLOPES[first:]."""
+    yield f
+    if m:
+        for i in range(first, len(SLOPES)):
+            yield from _products_of_lines(f * (Y - SLOPES[i] * X), i, m - 1)
+
+
+def test_tangent_rule_on_products_of_lines():
+    # c * x^k * prod (y - t_i x) for every multiset of at most six slopes;
+    # a factor x splits the cone unless no line is left
+    rng = random.Random(778)
+    count = 0
+    for lines in _products_of_lines(ONE, 0, 6):
+        for k in (0, 1, 2):
+            if lines != ONE or k:
+                c = rng.choice((1, -2, Fraction(3, 5)))
+                _assert_the_tangent_rule_is_unchanged(c * X**k * lines)
+                count += 1
+    assert count == 3 * 3003 - 1
+
+
+def _random_germ(rng, **shape):
+    f = _random_poly(rng, **shape)
+    return f - Polynomial({(0, 0): f.coefficient(0, 0)})
+
+
+def test_tangent_rule_on_random_germs():
+    rng = random.Random(779)
+    for _ in range(1500):
+        if f := _random_germ(rng, max_terms=8, max_deg=6):
+            _assert_the_tangent_rule_is_unchanged(f)
+        # a power of a line plus random terms above it
+        m, t = rng.randint(1, 5), rng.choice(SLOPES + [Fraction(rng.randint(-9, 9), 4)])
+        higher = _random_poly(rng, max_terms=4, max_deg=4) * X ** (m + 1 - rng.randint(0, 1))
+        _assert_the_tangent_rule_is_unchanged(rng.choice((1, -3)) * (Y - t * X) ** m + higher)
+
+
 def _stages_to_align():
     germs = {
         f"{corpus}:{entry.id}": parse_polynomial(entry.polynomial)
@@ -364,6 +435,7 @@ def _stages_to_align():
 def test_align_tangent_on_every_resolution_stage():
     sloped = 0
     for name, f in _stages_to_align().items():
+        _assert_the_tangent_rule_is_unchanged(f)
         while f.order() >= 2 and (direction := f.tangent_direction()) is not None:
             if direction == VERTICAL:
                 assert f.align_tangent(direction) == f.swap_variables(), name
@@ -373,9 +445,24 @@ def test_align_tangent_on_every_resolution_stage():
                 _assert_shear_is_the_linear_substitution(f, direction.t)
                 sloped += 1
             f = strict_transform_once(f).strict_transform
+            _assert_the_tangent_rule_is_unchanged(f)
     # stage 0 of s_cusp, s_q_3_4, s_p_3_7, s_b_4_6_7, B, C and D, and stage 2
     # of b_4_6_7 and s_b_4_6_7
     assert sloped == 9
+
+
+def test_integer_form_clears_the_denominators():
+    rng = random.Random(780)
+    fixed = [ZERO, ONE, parse_polynomial("2/3 y^3 - 5/4 x^2*y + 7 x^4 - 1/6 x*y^5")]
+    for p in fixed + [_random_poly(rng, max_terms=8) for _ in range(200)]:
+        common, numerators = p._integer_form()
+        pairs = list(numerators)
+        # in the terms' own order, each coefficient a / L
+        assert [k for k, _ in pairs] == list(p.terms)
+        assert all(type(a) is int and Fraction(a, common) == p.coefficient(*k) for k, a in pairs)
+        # L clears every denominator, and no proper divisor of L does
+        assert common == lcm(*(c.denominator for c in p.terms.values()))
+        assert gcd(common, *(a for _, a in pairs)) == 1
 
 
 # -- algebraic laws on random inputs ------------------------------------
