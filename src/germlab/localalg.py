@@ -22,14 +22,15 @@ Two independent colength computations live here on purpose:
   integer Gaussian elimination, certifying exactness via stability at two
   consecutive caps.
 
-They share only the input format: ``Polynomial._integer_form`` clears the
-denominators, ``_encode`` codes monomials as integers in the local order, and
-``_normalized`` divides out the content and makes the leading coefficient
-positive. The oracle never calls Mora's reduction, normal form or completion,
-so a fault there cannot cancel out in the cross-check. Its codimension is a
-rank, which no pivot order changes: it needs the codes only injective,
-additive and ordered by degree (pinned up to degree 600), and pivots in the
-local order only because that keeps the elimination sparse.
+They share only the input format: ``Polynomial._integer_form`` reads the
+integer numerators a polynomial stores, ``_encode`` codes monomials as
+integers in the local order, and ``_normalized`` divides out the content and
+makes the leading coefficient positive. The oracle never calls Mora's
+reduction, normal form or completion, so a fault there cannot cancel out in
+the cross-check. Its codimension is a rank, which no pivot order changes: it
+needs the codes only injective, additive and ordered by degree (pinned up to
+degree 600), and pivots in the local order only because that keeps the
+elimination sparse.
 
 Mu and tau run on the germ as ``Polynomial.aligned`` returns it; that keeps both
 colengths, and Mora avoids long cancellation chains when the initial form is y^m.
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Collection, Iterable, Sequence
 
@@ -344,8 +344,9 @@ def _minimal_basis(pool: list[PoolEntry]) -> StandardBasis:
             keep.append(idx)
     return StandardBasis(
         generators=tuple(
-            # codes decode to distinct exponents and zero terms are never kept
-            Polynomial._raw({_decode(k): Fraction(c) for k, c in pool[idx][0].items()})
+            # codes decode to distinct exponents, zero terms are never kept and
+            # a row's content is 1, so it is its own integer form over 1
+            Polynomial._raw({_decode(k): c for k, c in pool[idx][0].items()})
             for idx in keep
         ),
         leading_exponents=frozenset(lead[idx] for idx in keep),

@@ -1,8 +1,12 @@
 """Exact bivariate polynomials over Q and the text format used everywhere else.
 
-Coefficients are `fractions.Fraction`, exponents are pairs (deg_x, deg_y).
-Polynomials are immutable and hashable; zero coefficients are never stored,
-so structural equality and the printed form are both canonical.
+A polynomial is stored in its integer form: one integer numerator per
+exponent pair (deg_x, deg_y) over one denominator L > 0, with no factor common
+to L and every numerator. Zero numerators are never stored, so structural
+equality, the hash and the printed form are all canonical. Parsing, the shear,
+the partials, arithmetic and printing work on the numerators; ``terms``,
+``coefficient`` and evaluation hand out `fractions.Fraction`. Polynomials are
+immutable and hashable.
 """
 
 from __future__ import annotations
@@ -10,8 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from math import comb, gcd, lcm
+from typing import ItemsView, Iterable, Mapping, Optional, Union
 
 from .errors import (
     DegreeCapError,
@@ -54,7 +58,7 @@ Direction = Union[Slope, Vertical]
 class Polynomial:
     """A polynomial in x and y with exact rational coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Exponent, object] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -72,21 +76,28 @@ class Polynomial:
                 clean[(i, j)] = acc + c
             else:
                 del clean[(i, j)]
-        self._terms = clean
+        self._den = lcm(*(c.denominator for c in clean.values()))
+        self._terms = {k: c.numerator * (self._den // c.denominator) for k, c in clean.items()}
 
     @classmethod
-    def _raw(cls, terms: dict[Exponent, Fraction]) -> "Polynomial":
-        # internal fast path: terms must already be canonical (no zeros)
+    def _raw(cls, terms: dict[Exponent, int], den: int = 1) -> "Polynomial":
+        # internal fast path: nonzero integer numerators over den > 0; a
+        # factor common to den and every numerator is divided out here
+        if den != 1 and (g := gcd(den, *terms.values())) != 1:
+            terms = {k: a // g for k, a in terms.items()}
+            den //= g
         p = object.__new__(cls)
         p._terms = terms
+        p._den = den
         return p
 
     # -- queries ---------------------------------------------------------
 
     @property
     def terms(self) -> dict[Exponent, Fraction]:
-        """Copy of the exponent-to-coefficient map."""
-        return dict(self._terms)
+        """The exponent-to-coefficient map as Fractions, in storage order; a new dict."""
+        den = self._den
+        return {k: Fraction(a, den) for k, a in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -98,24 +109,24 @@ class Polynomial:
         return len(self._terms)
 
     def coefficient(self, deg_x: int, deg_y: int) -> Fraction:
-        return self._terms.get((deg_x, deg_y), Fraction(0))
+        return Fraction(self._terms.get((deg_x, deg_y), 0), self._den)
 
     def order(self) -> int:
         """Smallest total degree of a term, i.e. the multiplicity at the origin."""
         if not self._terms:
             raise ZeroPolynomialError("the zero polynomial has no order")
-        return min(i + j for i, j in self._terms)
+        return min(map(sum, self._terms))
 
     def total_degree(self) -> int:
         if not self._terms:
             raise ZeroPolynomialError("the zero polynomial has no degree")
-        return max(i + j for i, j in self._terms)
+        return max(map(sum, self._terms))
 
     def initial_form(self) -> "Polynomial":
         """Sum of the terms of minimal total degree."""
         m = self.order()
         return Polynomial._raw(
-            {k: c for k, c in self._terms.items() if k[0] + k[1] == m}
+            {k: a for k, a in self._terms.items() if k[0] + k[1] == m}, self._den
         )
 
     def tangent_direction(self) -> Optional[Direction]:
@@ -123,61 +134,62 @@ class Polynomial:
 
         The initial form must be c * l^m, l = x if y^m is missing, else y - t*x:
         moving l onto y = 0 (a swap, or ``_shear``) must leave c * y^m alone.
+        A nonzero constant term raises ``require_germ``'s NotAGermError.
         """
         m = self.order()
+        if not m:
+            self.require_germ()
         init = self.initial_form()
-        top = init.coefficient(0, m)
-        if top == 0:
+        top = init._terms.get((0, m))
+        if top is None:
             direction, moved = VERTICAL, init.swap_variables()
         else:
-            direction = Slope(-init.coefficient(1, m - 1) / (top * m))
+            direction = Slope(Fraction(-init._terms.get((1, m - 1), 0), top * m))
             moved = init._shear(direction.t)
         return direction if moved._terms.keys() == {(0, m)} else None
 
     def partials(self) -> tuple["Polynomial", "Polynomial"]:
         """Both first partial derivatives, x first."""
-        dx: dict[Exponent, Fraction] = {}
-        dy: dict[Exponent, Fraction] = {}
-        for (i, j), c in self._terms.items():
+        dx: dict[Exponent, int] = {}
+        dy: dict[Exponent, int] = {}
+        for (i, j), a in self._terms.items():
             if i:
-                dx[(i - 1, j)] = c * i
+                dx[(i - 1, j)] = a * i
             if j:
-                dy[(i, j - 1)] = c * j
-        return Polynomial._raw(dx), Polynomial._raw(dy)
+                dy[(i, j - 1)] = a * j
+        return Polynomial._raw(dx, self._den), Polynomial._raw(dy, self._den)
 
     def __call__(self, x: object, y: object) -> Fraction:
         xv, yv = Fraction(x), Fraction(y)
-        total = Fraction(0)
-        for (i, j), c in self._terms.items():
-            total += c * xv**i * yv**j
-        return total
+        total = sum((a * xv**i * yv**j for (i, j), a in self._terms.items()), Fraction(0))
+        return total / self._den
 
     # -- arithmetic ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw({k: -c for k, c in self._terms.items()})
+        return Polynomial._raw({k: -a for k, a in self._terms.items()}, self._den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            v = out.get(k)
-            if v is None:
-                out[k] = c
-            elif v + c:
-                out[k] = v + c
+        den = lcm(self._den, other._den)
+        mine, theirs = den // self._den, den // other._den
+        out = {k: a * mine for k, a in self._terms.items()}
+        for k, b in other._terms.items():
+            v = out.get(k, 0) + b * theirs
+            if v:
+                out[k] = v
             else:
                 del out[k]
-        return Polynomial._raw(out)
+        return Polynomial._raw(out, den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -189,19 +201,20 @@ class Polynomial:
             c = Fraction(other)
             if not c:
                 return Polynomial._raw({})
-            return Polynomial._raw({k: v * c for k, v in self._terms.items()})
+            scaled = {k: a * c.numerator for k, a in self._terms.items()}
+            return Polynomial._raw(scaled, self._den * c.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
+        out: dict[Exponent, int] = {}
+        for (i1, j1), a1 in self._terms.items():
+            for (i2, j2), a2 in other._terms.items():
                 k = (i1 + i2, j1 + j2)
-                v = out.get(k, Fraction(0)) + c1 * c2
+                v = out.get(k, 0) + a1 * a2
                 if v:
                     out[k] = v
-                elif k in out:
+                else:
                     del out[k]
-        return Polynomial._raw(out)
+        return Polynomial._raw(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -221,7 +234,7 @@ class Polynomial:
 
     def swap_variables(self) -> "Polynomial":
         """Exchange the roles of x and y."""
-        return Polynomial._raw({(j, i): c for (i, j), c in self._terms.items()})
+        return Polynomial._raw({(j, i): a for (i, j), a in self._terms.items()}, self._den)
 
     def substitute(self, px: "Polynomial", py: "Polynomial") -> "Polynomial":
         """Exact composition f(px(x, y), py(x, y))."""
@@ -235,16 +248,10 @@ class Polynomial:
                 top += 1
             return cache[n]
 
-        acc: dict[Exponent, Fraction] = {}
-        for (i, j), c in sorted(self._terms.items()):
-            piece = power(xpows, px, i) * power(ypows, py, j)
-            for k, v in piece._terms.items():
-                w = acc.get(k, Fraction(0)) + c * v
-                if w:
-                    acc[k] = w
-                elif k in acc:
-                    del acc[k]
-        return Polynomial._raw(acc)
+        acc = Polynomial._raw({})
+        for (i, j), a in sorted(self._terms.items()):
+            acc = acc + power(xpows, px, i) * power(ypows, py, j) * a
+        return acc * Fraction(1, self._den)
 
     def substitute_linear(
         self,
@@ -265,31 +272,27 @@ class Polynomial:
         py = Polynomial({(1, 0): c, (0, 1): d, (0, 0): g})
         return self.substitute(px, py)
 
-    def _integer_form(self) -> tuple[int, Iterator[tuple[Exponent, int]]]:
-        """(L, pairs (exponent, a)): L the lcm of the denominators, each coefficient a / L."""
-        common = lcm(*(c.denominator for c in self._terms.values()))
-        pairs = ((k, c.numerator * (common // c.denominator)) for k, c in self._terms.items())
-        return common, pairs
+    def _integer_form(self) -> tuple[int, ItemsView[Exponent, int]]:
+        """(L, pairs (exponent, a)) as stored: each coefficient is a / L, L the lcm denominator."""
+        return self._den, self._terms.items()
 
     def _shear(self, t: Fraction) -> "Polynomial":
         """f(x, t*x + y), equal to ``substitute_linear(((1, 0), (t, 1)))``.
 
         With t = p/q, J = deg_y f and coefficients a_ij / L, each term is an integer
-        sum of a_ij C(j, k) p^k q^(J - k) over L q^J, reduced by one Fraction.
+        sum of a_ij C(j, k) p^k q^(J - k) over L q^J, reduced by one gcd.
         """
         if t == 0:
             return self
         p, q = t.numerator, t.denominator
-        common, numerators = self._integer_form()
         top = max((j for _, j in self._terms), default=0)
         weights = [p**k * q ** (top - k) for k in range(top + 1)]
         acc: dict[Exponent, int] = {}
-        for (i, j), a in numerators:
+        for (i, j), a in self._terms.items():
             for k in range(j + 1):
                 key = (i + k, j - k)
                 acc[key] = acc.get(key, 0) + a * comb(j, k) * weights[k]
-        den = common * q**top
-        return Polynomial._raw({key: Fraction(v, den) for key, v in acc.items() if v})
+        return Polynomial._raw({key: v for key, v in acc.items() if v}, self._den * q**top)
 
     def align_tangent(self, direction: Direction) -> "Polynomial":
         """Move a tangent direction onto the line y = 0.
@@ -321,10 +324,6 @@ class Polynomial:
 
     # -- printing --------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        """Terms in print order: ascending total degree, then ascending x-degree."""
-        return sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
-
     @staticmethod
     def _monomial_str(i: int, j: int) -> str:
         parts = []
@@ -337,20 +336,24 @@ class Polynomial:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
+        den = self._den
         pieces: list[str] = []
-        for (i, j), c in self.sorted_terms():
+        # ascending total degree, then ascending x-degree
+        for (i, j), a in sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0][0])):
             mono = self._monomial_str(i, j)
-            mag = abs(c)
-            if mono and mag == 1:
+            # |a| / den in lowest terms, printed as Fraction prints it
+            g = gcd(a, den)
+            mag = f"{abs(a) // g}" if g == den else f"{abs(a) // g}/{den // g}"
+            if mono and abs(a) == den:
                 body = mono
             elif mono:
                 body = f"{mag} {mono}"
             else:
-                body = str(mag)
+                body = mag
             if not pieces:
-                pieces.append(f"-{body}" if c < 0 else body)
+                pieces.append(f"-{body}" if a < 0 else body)
             else:
-                pieces.append(f"- {body}" if c < 0 else f"+ {body}")
+                pieces.append(f"- {body}" if a < 0 else f"+ {body}")
         return " ".join(pieces)
 
     def __repr__(self) -> str:
@@ -365,105 +368,102 @@ Y = Polynomial({(0, 1): 1})
 
 # -- parsing ---------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z])|(?P<op>[-+*/^]))")
+# every character outside the grammar's alphabet, and the grammar's tokens:
+# an unsigned integer, or a single letter or operator
+_BAD = re.compile(r"[^\s\dA-Za-z+\-*/^]")
+_TOKEN = re.compile(r"\d+|\S")
 
 
-def _tokenize(text: str) -> list[tuple[str, object]]:
-    tokens: list[tuple[str, object]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r} in {text!r}")
-        pos = m.end()
-        if m.group("int") is not None:
-            tokens.append(("int", int(m.group("int"))))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-    return tokens
+def _tokenize(text: str) -> list[str]:
+    bad = _BAD.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r} in {text!r}")
+    return _TOKEN.findall(text)
 
 
-def _parse_terms(tokens: list[tuple[str, object]]) -> dict[Exponent, Fraction]:
-    """Sum the signed rational-coefficient monomials of a token list."""
-    tokens = tokens + [(None, None)]
-    signs = (("op", "+"), ("op", "-"))
+def _parse_terms(tokens: list[str]) -> tuple[dict[Exponent, int], int]:
+    """Sum the signed rational-coefficient monomials of a token list.
 
-    def integer_after(op: str, message: str) -> Optional[int]:
-        # the integer after `op` when `op` comes next, else None
-        nonlocal pos
-        if tokens[pos] != ("op", op):
-            return None
-        kind, val = tokens[pos + 1]
-        if kind != "int":
-            raise ParseError(message)
-        pos += 2
-        return val
-
-    terms: dict[Exponent, Fraction] = {}
-    sign = -1 if tokens[0] == ("op", "-") else 1
-    pos = 1 if tokens[0] in signs else 0
+    Returns integer numerators over one common denominator, not yet reduced:
+    a coefficient a/d with d not dividing it grows it to the lcm.
+    """
+    tokens = tokens + [""]  # "" marks the end of input
+    terms: dict[Exponent, int] = {}
+    den = 1
+    sign = -1 if tokens[0] == "-" else 1
+    pos = 1 if tokens[0] in ("+", "-") else 0
     while True:
-        coef: Fraction | None = None
-        kind, val = tokens[pos]
-        if kind == "int":
+        tok = tokens[pos]
+        has_coef = tok.isdecimal()
+        num = den
+        if has_coef:
             pos += 1
-            den = integer_after("/", "expected an integer denominator after '/'")
-            if den == 0:
-                raise ParseError("zero denominator in coefficient")
-            coef = Fraction(val, 1 if den is None else den)
+            if tokens[pos] != "/":
+                num = int(tok) * den
+            elif not tokens[pos + 1].isdecimal():
+                raise ParseError("expected an integer denominator after '/'")
+            else:
+                d = int(tokens[pos + 1])
+                pos += 2
+                if not d:
+                    raise ParseError("zero denominator in coefficient")
+                if den % d:
+                    scale = d // gcd(den, d)
+                    terms = {k: a * scale for k, a in terms.items()}
+                    den *= scale
+                num = int(tok) * (den // d)
 
         ex = ey = 0
         have_factor = False
         while True:
-            kind, val = tokens[pos]
-            starred = kind == "op" and val == "*"
+            tok = tokens[pos]
+            starred = tok == "*"
             if starred:
-                if coef is None and not have_factor:
+                if not has_coef and not have_factor:
                     raise ParseError("'*' cannot start a term")
                 pos += 1
-                kind, val = tokens[pos]
-            if kind != "name":
+                tok = tokens[pos]
+            if not tok.isalpha():
                 if starred:
                     raise ParseError("dangling '*' with no factor after it")
                 break
             pos += 1
-            if val not in ("x", "y"):
+            if tok not in ("x", "y"):
                 raise UnknownVariableError(
-                    f"unknown variable {val!r}; only x and y are allowed"
+                    f"unknown variable {tok!r}; only x and y are allowed"
                 )
-            e = integer_after("^", "expected an integer exponent after '^'")
-            if e is None:
-                e = 1
-            elif e < 1:
-                raise ParseError("exponent must be a positive integer")
-            if val == "x":
+            e = 1
+            if tokens[pos] == "^":
+                if not tokens[pos + 1].isdecimal():
+                    raise ParseError("expected an integer exponent after '^'")
+                e = int(tokens[pos + 1])
+                pos += 2
+                if e < 1:
+                    raise ParseError("exponent must be a positive integer")
+            if tok == "x":
                 ex += e
             else:
                 ey += e
             have_factor = True
 
-        if coef is None and not have_factor:
-            if kind is None:
+        if not has_coef and not have_factor:
+            if not tok:
                 raise ParseError("unexpected end of input where a term was expected")
-            raise ParseError(f"unexpected token {val!r} where a term was expected")
+            raise ParseError(f"unexpected token {tok!r} where a term was expected")
         expo = (ex, ey)
-        c = terms.get(expo, Fraction(0)) + sign * (1 if coef is None else coef)
+        c = terms.get(expo, 0) + sign * num
         if c:
             terms[expo] = c
         elif expo in terms:
             del terms[expo]
 
-        kind, val = tokens[pos]
-        if kind is None:
-            return terms
-        if (kind, val) not in signs:
+        tok = tokens[pos]
+        if not tok:
+            return terms, den
+        if tok not in ("+", "-"):
+            val = int(tok) if tok.isdecimal() else tok
             raise ParseError(f"expected '+' or '-' before token {val!r}")
-        sign = -1 if val == "-" else 1
+        sign = -1 if tok == "-" else 1
         pos += 1
 
 
@@ -478,8 +478,7 @@ def parse_polynomial(text: str, max_degree: int = DEFAULT_DEGREE_CAP) -> Polynom
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input")
-    terms = _parse_terms(tokens)
-    poly = Polynomial._raw(terms)
+    poly = Polynomial._raw(*_parse_terms(tokens))
     if poly and poly.total_degree() > max_degree:
         raise DegreeCapError(
             f"total degree {poly.total_degree()} exceeds the cap {max_degree}"

@@ -51,7 +51,8 @@ def _blowup(aligned: Polynomial, direction: Direction, m: int) -> BlowupStep:
     """The blowup at ``direction`` of a germ of multiplicity m, already aligned."""
     chart = "y" if isinstance(direction, Vertical) else "x"
     # (i, j) -> (i + j - m, j) is injective and every degree is >= m: no checks needed
-    shifted = Polynomial._raw({(i + j - m, j): c for (i, j), c in aligned.terms.items()})
+    den, numerators = aligned._integer_form()
+    shifted = Polynomial._raw({(i + j - m, j): a for (i, j), a in numerators}, den)
     return BlowupStep(chart, direction, m, shifted)
 
 

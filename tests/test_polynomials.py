@@ -1,6 +1,7 @@
 """Tests for exact polynomial arithmetic and the expression parser."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -17,6 +18,7 @@ from germlab.errors import (
     UnknownVariableError,
     ZeroPolynomialError,
 )
+from germlab.localalg import standard_basis
 from germlab.polynomials import (
     ONE,
     VERTICAL,
@@ -242,6 +244,187 @@ def test_parse_errors(text):
     assert (type(caught.value), str(caught.value)) == PARSE_ERRORS[text]
 
 
+# A reference copy of the token-tuple, Fraction-valued parser that the
+# integer parser replaced; the random strings below must give the same terms,
+# in the same order, or the same exception type and message.
+
+_REFERENCE_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z])|(?P<op>[-+*/^]))")
+
+
+def _reference_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            raise ParseError(f"unexpected character {rest[0]!r} in {text!r}")
+        pos = m.end()
+        if m.group("int") is not None:
+            tokens.append(("int", int(m.group("int"))))
+        elif m.group("name") is not None:
+            tokens.append(("name", m.group("name")))
+        else:
+            tokens.append(("op", m.group("op")))
+    return tokens
+
+
+def _reference_parse_terms(tokens):
+    tokens = tokens + [(None, None)]
+    signs = (("op", "+"), ("op", "-"))
+
+    def integer_after(op, message):
+        nonlocal pos
+        if tokens[pos] != ("op", op):
+            return None
+        kind, val = tokens[pos + 1]
+        if kind != "int":
+            raise ParseError(message)
+        pos += 2
+        return val
+
+    terms = {}
+    sign = -1 if tokens[0] == ("op", "-") else 1
+    pos = 1 if tokens[0] in signs else 0
+    while True:
+        coef = None
+        kind, val = tokens[pos]
+        if kind == "int":
+            pos += 1
+            den = integer_after("/", "expected an integer denominator after '/'")
+            if den == 0:
+                raise ParseError("zero denominator in coefficient")
+            coef = Fraction(val, 1 if den is None else den)
+
+        ex = ey = 0
+        have_factor = False
+        while True:
+            kind, val = tokens[pos]
+            starred = kind == "op" and val == "*"
+            if starred:
+                if coef is None and not have_factor:
+                    raise ParseError("'*' cannot start a term")
+                pos += 1
+                kind, val = tokens[pos]
+            if kind != "name":
+                if starred:
+                    raise ParseError("dangling '*' with no factor after it")
+                break
+            pos += 1
+            if val not in ("x", "y"):
+                raise UnknownVariableError(
+                    f"unknown variable {val!r}; only x and y are allowed"
+                )
+            e = integer_after("^", "expected an integer exponent after '^'")
+            if e is None:
+                e = 1
+            elif e < 1:
+                raise ParseError("exponent must be a positive integer")
+            if val == "x":
+                ex += e
+            else:
+                ey += e
+            have_factor = True
+
+        if coef is None and not have_factor:
+            if kind is None:
+                raise ParseError("unexpected end of input where a term was expected")
+            raise ParseError(f"unexpected token {val!r} where a term was expected")
+        expo = (ex, ey)
+        c = terms.get(expo, Fraction(0)) + sign * (1 if coef is None else coef)
+        if c:
+            terms[expo] = c
+        elif expo in terms:
+            del terms[expo]
+
+        kind, val = tokens[pos]
+        if kind is None:
+            return terms
+        if (kind, val) not in signs:
+            raise ParseError(f"expected '+' or '-' before token {val!r}")
+        sign = -1 if val == "-" else 1
+        pos += 1
+
+
+def _outcome(parse, text):
+    """(terms as an ordered list, None) or (None, (exception type, message))."""
+    try:
+        return list(parse(text).items()), None
+    except Exception as exc:  # noqa: BLE001 - any exception must match exactly
+        return None, (type(exc), str(exc))
+
+
+def _reference_parse(text):
+    tokens = _reference_tokenize(text)
+    if not tokens:
+        raise ParseError("empty input")
+    return _reference_parse_terms(tokens)
+
+
+def _random_polynomial_text(rng):
+    """A valid input: signed terms, rational coefficients, juxtaposition and '*'."""
+    words = []
+    made = []
+    for t in range(rng.randint(1, 7)):
+        if made and rng.random() < 0.2:
+            # the same monomial again, often with the opposite coefficient
+            term, negative = rng.choice(made)
+            negative = not negative if rng.random() < 0.7 else negative
+        else:
+            coef = rng.choice([
+                [], [str(rng.randint(0, 15))],
+                [str(rng.randint(0, 15)), "/", str(rng.randint(1, 12))],
+            ])
+            factors = [
+                [rng.choice("xy")] + rng.choice([[], ["^", str(rng.randint(1, 4))]])
+                for _ in range(rng.randint(0 if coef else 1, 3))
+            ]
+            term = list(coef)
+            for i, factor in enumerate(factors):
+                if (coef or i) and rng.random() < 0.5:
+                    term.append("*")
+                term += factor
+            negative = rng.random() < 0.5
+        made.append((term, negative))
+        if t or negative:
+            words.append("-" if negative else "+")
+        elif rng.random() < 0.2:
+            words.append("+")
+        words += term
+    return "".join(w + rng.choice(["", "", "", " ", "  ", "\t"]) for w in words)
+
+
+def _one_edit(rng, text):
+    """text with one random character inserted or deleted."""
+    if text and rng.random() < 0.5:
+        i = rng.randrange(len(text))
+        return text[:i] + text[i + 1:]
+    i = rng.randint(0, len(text))
+    return text[:i] + rng.choice("xyz0123456789+-*/^ ()._\u0663\u00b2\u00a0\u00e9") + text[i:]
+
+
+def test_parser_matches_the_reference_parser():
+    rng = random.Random(20261019)
+    outcomes = {"terms": 0, "error": 0}
+    for _ in range(3000):
+        text = _random_polynomial_text(rng)
+        assert _outcome(_reference_parse, text)[1] is None, repr(text)
+        for probe in (text, _one_edit(rng, text), _one_edit(rng, text)):
+            want = _outcome(_reference_parse, probe)
+            got = _outcome(lambda t: parse_polynomial(t).terms, probe)
+            assert got == want, repr(probe)
+            outcomes["terms" if want[1] is None else "error"] += 1
+    # both kinds of outcome occur often
+    assert min(outcomes.values()) > 1500
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS), ids=repr)
+def test_reference_parser_gives_the_pinned_errors(text):
+    assert _outcome(_reference_parse, text) == (None, PARSE_ERRORS[text])
+
+
 def test_parse_unknown_variable():
     with pytest.raises(UnknownVariableError):
         parse_polynomial("x + z")
@@ -346,6 +529,23 @@ def test_every_entry_point_runs_the_same_germ_check(name, text, message):
     with pytest.raises(GermError) as info:
         getattr(germlab, name)(parse_polynomial(text))
     assert (type(info.value), str(info.value)) == (error, message)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1 + x", "the polynomial does not vanish at the origin"),
+        ("2", "the polynomial does not vanish at the origin"),
+    ],
+)
+def test_tangent_direction_runs_the_same_germ_check(text, message):
+    # the public method refuses a constant term as require_germ does
+    with pytest.raises(GermError) as info:
+        parse_polynomial(text).tangent_direction()
+    assert (type(info.value), str(info.value)) == (NotAGermError, message)
+    # the zero polynomial keeps order()'s error
+    with pytest.raises(ZeroPolynomialError, match="the zero polynomial has no order"):
+        ZERO.tangent_direction()
 
 
 def _reference_tangent_direction(f):
@@ -463,6 +663,104 @@ def test_integer_form_clears_the_denominators():
         # L clears every denominator, and no proper divisor of L does
         assert common == lcm(*(c.denominator for c in p.terms.values()))
         assert gcd(common, *(a for _, a in pairs)) == 1
+
+
+# -- the stored integer form ----------------------------------------------
+
+
+def _assert_canonical(p):
+    """Nonzero integer numerators over one den > 0, with no factor common to all."""
+    den, numerators = p._integer_form()
+    pairs = list(numerators)
+    assert type(den) is int and den > 0, repr(p)
+    assert all(type(a) is int and a != 0 for _, a in pairs), repr(p)
+    assert gcd(den, *(a for _, a in pairs)) == 1, repr(p)
+    # the public view is each numerator over den, in storage order
+    assert list(p.terms.items()) == [(k, Fraction(a, den)) for k, a in pairs]
+    # rebuilt from that view it is the same polynomial, with the same hash
+    rebuilt = Polynomial(p.terms)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+def _assert_equal_exactly_when_the_views_are(polys):
+    first_with_view = {}
+    previous = previous_view = None
+    count = 0
+    for p in polys:
+        _assert_canonical(p)
+        view = tuple(sorted(p.terms.items()))
+        first = first_with_view.setdefault(view, p)
+        assert p == first and hash(p) == hash(first)
+        if previous is not None:
+            assert (p == previous) == (view == previous_view)
+        previous, previous_view = p, view
+        count += 1
+    return count
+
+
+def _ring_family():
+    rng = random.Random(771)  # the family of test_ring_axioms_random
+    for _ in range(100):
+        p, q, r = (_random_poly(rng) for _ in range(3))
+        yield from (p, q, r, p + q, p - q, p - p, p * q, (p * q) * r, p * (q + r))
+        yield from (-p, 3 * p, p * Fraction(-2, 9), p * 0, p**2, *p.partials())
+        yield from (p.swap_variables(), p._shear(Fraction(-5, 4)), p._shear(Fraction(2, 3)))
+        yield from (p.initial_form(), parse_polynomial(str(p))) if p else ()
+
+
+def _substitution_family():
+    rng = random.Random(774)  # the family of test_linear_substitution_inverse_random
+    for _ in range(60):
+        p = _random_poly(rng)
+        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        if a * d - b * c:
+            q = p.substitute_linear(((a, b), (c, d)))
+            yield from (p, q, q.substitute_linear(((Fraction(1, 3), 0), (1, 1))))
+        yield p.substitute(X * Y + Fraction(1, 2) * X, Y - Fraction(3, 4) * X**2)
+
+
+def _evaluation_family():
+    rng = random.Random(773)  # the family of test_evaluation_is_ring_homomorphism_random
+    for _ in range(60):
+        p, q = _random_poly(rng), _random_poly(rng)
+        a = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        b = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        for f in (p, q, p + q, p * q):
+            # evaluation agrees with the Fraction view
+            assert f(a, b) == sum((c * a**i * b**j for (i, j), c in f.terms.items()), Fraction(0))
+            yield f
+
+
+def test_random_families_stay_canonical():
+    assert _assert_equal_exactly_when_the_views_are(_ring_family()) > 2000
+    assert _assert_equal_exactly_when_the_views_are(_substitution_family()) > 150
+    assert _assert_equal_exactly_when_the_views_are(_evaluation_family()) == 240
+
+
+def _stage_results(f):
+    """f, then per resolution stage: alignment, partials, the blowup, Jacobian generators."""
+    yield f
+    while True:
+        g, direction, m = f.aligned()
+        yield from (g, f.swap_variables(), *g.partials())
+        if m < 2 or direction is None:
+            return
+        yield from standard_basis(g.partials()).generators
+        f = strict_transform_once(f).strict_transform
+        yield f
+
+
+def test_every_resolution_stage_stays_canonical():
+    germs = _stages_to_align()
+    # mu's completion on germ B does not finish in reasonable time; its
+    # stages are checked without the Jacobian basis
+    b = germs.pop("B")
+    count = sum(_assert_equal_exactly_when_the_views_are(_stage_results(f)) for f in germs.values())
+    while b.order() >= 2:
+        _assert_canonical(b.aligned()[0])
+        b = strict_transform_once(b).strict_transform
+        _assert_canonical(b)
+    assert count > 300
 
 
 # -- algebraic laws on random inputs ------------------------------------
