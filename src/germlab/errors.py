@@ -78,7 +78,3 @@ class MultiplicityTooSmallError(GermError):
 
 class SmoothGermError(GermError):
     """A ratio test was requested for a smooth germ, where it is undefined."""
-
-
-class ComputationBudgetError(GermError):
-    """A computation ran past its work budget; the message names the phase."""

@@ -43,11 +43,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Collection, Iterable, Sequence
 
-from .errors import (
-    ComputationBudgetError,
-    NonIsolatedSingularityError,
-    ZeroIdealError,
-)
+from .errors import NonIsolatedSingularityError, ZeroIdealError
 from .polynomials import ONE, Polynomial
 
 Exponent = tuple[int, int]
@@ -57,10 +53,6 @@ INFINITE = object()
 
 #: Sentinel returned by ``colength_oracle`` when truncation did not stabilize.
 UNSTABLE = object()
-
-# Hard ceiling on reduction steps inside one normal form; hitting it means a
-# diverging computation (non-reduced or otherwise degenerate input).
-_REDUCTION_STEP_LIMIT = 10**6
 
 
 def _order_key(mono: Exponent) -> tuple[int, int]:
@@ -223,13 +215,19 @@ def _mora_normal_form(
     reducer pool, which is what forces termination in the local order.
     Terms at or above ``cut`` are dropped after every step; h must have none.
 
+    Nothing counts the steps. Uncut, the loop ends by Mora's termination
+    theorem (Greuel and Pfister, *A Singular Introduction to Commutative
+    Algebra*, §1.7), which bounds neither the steps nor the coefficient
+    size. Under a cut at degree D each step strictly lowers the leading
+    monomial among the D(D+1)/2 monomials of degree below D, so the loop
+    ends within D(D+1)/2 steps.
+
     Appending h also at equal ecart gives the same normal forms: a later
     remainder h' that h could reduce has lead(best) | lead(h) | lead(h'), so
     best is a candidate for h' too, of rank (ecart, degree, x-degree) at most
     h's, and wins a tie as the earlier entry; h is never chosen.
     """
     pool = list(reducers)
-    steps = 0
     while h:
         hi, hj = _decode(lead)
         best = None
@@ -245,12 +243,6 @@ def _mora_normal_form(
         if reducer_ecart and reducer_ecart > _ecart(h, lead):
             pool.append(_pool_entry(h, lead))
         h, lead = _reduce_leading(h, lead, best[0], best[1], cut)
-        steps += 1
-        if steps > _REDUCTION_STEP_LIMIT:
-            raise ComputationBudgetError(
-                f"normal form did not terminate within {_REDUCTION_STEP_LIMIT}"
-                " reduction steps"
-            )
     return h, lead
 
 

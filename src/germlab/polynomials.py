@@ -132,21 +132,23 @@ class Polynomial:
     def tangent_direction(self) -> Optional[Direction]:
         """The single direction of the tangent cone, or None if it has several.
 
-        The initial form must be c * l^m, l = x if y^m is missing, else y - t*x:
-        moving l onto y = 0 (a swap, or ``_shear``) must leave c * y^m alone.
+        The initial form must be c * l^m, l = x if y^m is missing, else y - t*x.
+        With c_i the numerator of x^i y^(m-i), x = 0 needs x^m as its only term,
+        and c_0 * (y - t*x)^m with t = -c_1 / (m c_0) needs
+        c_i (m c_0)^i = c_0 C(m, i) c_1^i for every i <= m.
         A nonzero constant term raises ``require_germ``'s NotAGermError.
         """
         m = self.order()
         if not m:
             self.require_germ()
-        init = self.initial_form()
-        top = init._terms.get((0, m))
+        init = {i: a for (i, j), a in self._terms.items() if i + j == m}
+        top = init.get(0)
         if top is None:
-            direction, moved = VERTICAL, init.swap_variables()
-        else:
-            direction = Slope(Fraction(-init._terms.get((1, m - 1), 0), top * m))
-            moved = init._shear(direction.t)
-        return direction if moved._terms.keys() == {(0, m)} else None
+            return VERTICAL if init.keys() == {m} else None
+        c1, scale = init.get(1, 0), m * top
+        if all(init.get(i, 0) * scale**i == top * comb(m, i) * c1**i for i in range(m + 1)):
+            return Slope(Fraction(-c1, scale))
+        return None
 
     def partials(self) -> tuple["Polynomial", "Polynomial"]:
         """Both first partial derivatives, x first."""
@@ -478,7 +480,12 @@ def parse_polynomial(text: str, max_degree: int = DEFAULT_DEGREE_CAP) -> Polynom
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input")
-    poly = Polynomial._raw(*_parse_terms(tokens))
+    try:
+        poly = Polynomial._raw(*_parse_terms(tokens))
+    except ValueError as exc:
+        # int() refuses a token past the interpreter's integer-string limit
+        longest = max(len(tok) for tok in tokens if tok.isdecimal())
+        raise ParseError(f"integer of {longest} digits is too long to read") from exc
     if poly and poly.total_degree() > max_degree:
         raise DegreeCapError(
             f"total degree {poly.total_degree()} exceeds the cap {max_degree}"

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -98,6 +99,17 @@ def test_analyze_parse_error(capsys):
     code, _, err = run(capsys, "analyze", "x +")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="no integer-string limit below 5000 digits",
+)
+@pytest.mark.parametrize("text", ["1" * 5000 + " x", "x^" + "1" * 5000])
+def test_analyze_overlong_integer_is_a_parse_error(capsys, text):
+    code, out, err = run(capsys, "analyze", text)
+    assert (code, out) == (2, "")
+    assert err == "error: ParseError: integer of 5000 digits is too long to read\n"
 
 
 def test_analyze_max_degree(capsys):
@@ -381,30 +393,18 @@ def test_corpus_mismatch_exit_three(tmp_path, capsys):
 
 
 def test_corpus_domain_error_exit_two(tmp_path, capsys):
+    # an erroring entry keeps its line number, and the entries around it answer
     path = tmp_path / "err.corpus"
-    path.write_text("bad\tx^2\n", encoding="utf-8")
+    path.write_text("a\ty^2 - x^3\tmilnor=2\nb\tx^2*y\nc\tx^2 + y^3\n", encoding="utf-8")
     code, out, _ = run(capsys, "corpus", str(path))
     assert code == 2
     assert "ERROR" in out
-
-
-def test_reduction_step_budget_is_a_domain_error(monkeypatch, tmp_path, capsys):
-    # the cusp needs at most 2 steps per normal form, x^3 + y^10 + x*y^7 needs
-    # 7 inside the Jacobian completion, which is never cut
-    monkeypatch.setattr(localalg, "_REDUCTION_STEP_LIMIT", 3)
-    code, out, err = run(capsys, "analyze", "x^3 + y^10 + x*y^7")
-    assert (code, out) == (2, "")
-    assert "ComputationBudgetError: normal form did not terminate" in err
-    path = tmp_path / "budget.corpus"
-    path.write_text(
-        "a\ty^2 - x^3\tmilnor=2\nb\tx^3 + y^10 + x*y^7\nc\tx^2 + y^3\n", encoding="utf-8"
-    )
     code, out, _ = run(capsys, "corpus", str(path), "--format", "json")
     assert code == 2
     payload = json.loads(out)
     assert [e["error"] is None for e in payload["entries"]] == [True, False, True]
-    assert "line 2: normal form did not terminate" in payload["entries"][1]["error"]
-    assert payload["entries"][0]["report"]["milnor"] == 2
+    assert payload["entries"][1]["error"] == "line 2: the critical locus is not isolated"
+    assert [payload["entries"][i]["report"]["milnor"] for i in (0, 2)] == [2, 2]
 
 
 def test_corpus_missing_file_exit_two(capsys):

@@ -23,6 +23,7 @@ from germlab.localalg import (
     UNSTABLE,
     _column_heights,
     _decode,
+    _degree,
     _divides,
     _encode,
     _entry,
@@ -919,3 +920,46 @@ def test_germs_that_answer_once_coprime_pairs_are_skipped(capsys, f, mu, tau):
     assert code == 0
     assert (payload["milnor"], payload["tjurina"]) == pair == (mu, tau)
     assert pair == (_oracle(f.partials()), _oracle([f, *f.partials()]))
+
+
+# -- the cut ends every normal form of the tau extension --------------------
+
+
+@pytest.mark.parametrize("family", ["corpora", "sheared", "C and D"])
+def test_every_cut_normal_form_ends_within_the_corner_bound(monkeypatch, family):
+    # under the cut at the highest corner D each step lowers the lead among
+    # the D(D+1)/2 monomials of degree below D; nothing else bounds the steps
+    steps, calls = 0, []
+    reduce_leading, normal_form = localalg._reduce_leading, localalg._mora_normal_form
+
+    def counting(*args):
+        nonlocal steps
+        steps += 1
+        return reduce_leading(*args)
+
+    def recording(h, lead, reducers, cut=localalg._NO_CUT):
+        nonlocal steps
+        steps = 0
+        remainder, lead = normal_form(h, lead, reducers, cut)
+        if cut != localalg._NO_CUT:
+            calls.append((cut, steps, remainder))
+        return remainder, lead
+
+    monkeypatch.setattr(localalg, "_reduce_leading", counting)
+    monkeypatch.setattr(localalg, "_mora_normal_form", recording)
+    if family == "C and D":
+        germs = [param.values[0] for param in _now_answering()[:2]]
+    else:
+        germs = list(_certificate_germs(family))
+    checked = 0
+    for f in germs:
+        calls.clear()
+        with _time_limit(4.0):
+            milnor_tjurina(f)
+        corner, _ = _jacobian_corner(f)
+        for cut, count, remainder in calls:
+            assert cut == _encode((corner, 0)), str(f)
+            assert count <= corner * (corner + 1) // 2, str(f)
+            assert all(_degree(k) < corner for k in remainder), str(f)
+        checked += len(calls)
+    assert checked

@@ -3,7 +3,7 @@
 import random
 import re
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 import pytest
 
@@ -616,6 +616,56 @@ def test_tangent_rule_on_random_germs():
         m, t = rng.randint(1, 5), rng.choice(SLOPES + [Fraction(rng.randint(-9, 9), 4)])
         higher = _random_poly(rng, max_terms=4, max_deg=4) * X ** (m + 1 - rng.randint(0, 1))
         _assert_the_tangent_rule_is_unchanged(rng.choice((1, -3)) * (Y - t * X) ** m + higher)
+
+
+def _shear_tangent_direction(f):
+    """Reference rule: move the candidate line of a copy of the initial form onto y = 0."""
+    m = f.order()
+    if not m:
+        f.require_germ()
+    init = f.initial_form()
+    top = init._terms.get((0, m))
+    if top is None:
+        direction, moved = VERTICAL, init.swap_variables()
+    else:
+        direction = Slope(Fraction(-init._terms.get((1, m - 1), 0), top * m))
+        moved = init._shear(direction.t)
+    return direction if moved._terms.keys() == {(0, m)} else None
+
+
+def _tangent_outcome(rule, f):
+    try:
+        return rule(f)
+    except GermError as exc:
+        return type(exc), str(exc)
+
+
+def _tangent_rule_inputs(rng):
+    """c (y - t x)^m, c x^m and split forms, each also off by one and with higher terms."""
+    for m in range(1, 13):
+        for _ in range(8):
+            c = Fraction(rng.choice((1, -1, 2, -3, 5)), rng.choice((1, 2, 7)))
+            t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            lines = [rng.choice((X, Y - t * X, Y - (t + 1) * X, Y)) for _ in range(m)]
+            for form in (c * (Y - t * X) ** m, c * X**m, c * prod(lines, start=ONE)):
+                i = rng.randint(0, m)
+                off = form + Polynomial({(i, m - i): rng.choice((1, -1))})
+                higher = _random_poly(rng, max_terms=4, max_deg=4) * rng.choice((X, Y)) ** (m + 1)
+                yield from (form, off, form + higher, off + higher)
+
+
+def test_tangent_rule_matches_the_shear_reference():
+    rng = random.Random(781)
+    count = 0
+    for f in _tangent_rule_inputs(rng):
+        for g in (f, f + ONE, f + Polynomial({(0, 0): Fraction(-2, 3)})):
+            want = _tangent_outcome(_shear_tangent_direction, g)
+            assert _tangent_outcome(Polynomial.tangent_direction, g) == want, str(g)
+            count += want == VERTICAL or isinstance(want, Slope)
+    assert _tangent_outcome(Polynomial.tangent_direction, ZERO) == _tangent_outcome(
+        _shear_tangent_direction, ZERO
+    )
+    assert count > 400
 
 
 def _stages_to_align():
