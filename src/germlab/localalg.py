@@ -17,7 +17,10 @@ Two independent colength computations live here on purpose:
   instead of completing the Tjurina ideal from scratch, and drops every term
   at or above the highest corner D of that basis (m^D lies in the Jacobian
   ideal), so each normal form of the extension ends within D(D+1)/2 steps;
-  mu itself and the oracle are never cut;
+  on a convenient, Newton non-degenerate germ mu's completion is cut at
+  nu + 1, nu the Newton number, and kept only when its own highest corner
+  proves the cut harmless (see ``_jacobian``); the public
+  ``standard_basis`` and the oracle are never cut;
 * ``colength_oracle`` computes the codimension of a degree-truncated ideal by
   integer Gaussian elimination, certifying exactness via stability at two
   consecutive caps.
@@ -44,6 +47,7 @@ from math import gcd
 from typing import Collection, Iterable, Sequence
 
 from .errors import NonIsolatedSingularityError, ZeroIdealError
+from .newton import newton_number
 from .polynomials import ONE, Polynomial
 
 Exponent = tuple[int, int]
@@ -267,6 +271,12 @@ def _entry(p: Polynomial, cut: int = _NO_CUT) -> PoolEntry | None:
     return None if lead is None else _pool_entry(terms, lead)
 
 
+def _truncated(entry: PoolEntry, cut: int) -> PoolEntry | None:
+    """The entry without its terms at or above the cut; None if none remain."""
+    terms, lead = _normalized({k: c for k, c in entry[0].items() if k < cut})
+    return None if lead is None else _pool_entry(terms, lead)
+
+
 def _complete(pool: list[PoolEntry], first_new: int, cut: int = _NO_CUT) -> None:
     """Complete the pool in place to a standard basis for the local order.
 
@@ -320,29 +330,18 @@ def _divides(a: Exponent, b: Exponent) -> bool:
     return a[0] <= b[0] and a[1] <= b[1]
 
 
-def _minimal_basis(pool: list[PoolEntry]) -> StandardBasis:
-    """One generator per minimal leading exponent of a completed pool."""
+def _minimal(pool: list[PoolEntry]) -> list[PoolEntry]:
+    """One entry per minimal leading exponent of a completed pool, the first of equals."""
     lead = [(entry[2], entry[3]) for entry in pool]
-    keep: list[int] = []
-    for idx, lm in enumerate(lead):
-        redundant = False
-        for kdx, other in enumerate(lead):
-            if kdx == idx:
-                continue
-            if _divides(other, lm) and (other != lm or kdx < idx):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(idx)
-    return StandardBasis(
-        generators=tuple(
-            # codes decode to distinct exponents, zero terms are never kept and
-            # a row's content is 1, so it is its own integer form over 1
-            Polynomial._raw({_decode(k): c for k, c in pool[idx][0].items()})
-            for idx in keep
-        ),
-        leading_exponents=frozenset(lead[idx] for idx in keep),
-    )
+    return [
+        pool[idx]
+        for idx, lm in enumerate(lead)
+        if not any(
+            _divides(other, lm) and (other != lm or kdx < idx)
+            for kdx, other in enumerate(lead)
+            if kdx != idx
+        )
+    ]
 
 
 def standard_basis(generators: Iterable[Polynomial]) -> StandardBasis:
@@ -364,7 +363,16 @@ def standard_basis(generators: Iterable[Polynomial]) -> StandardBasis:
             leading_exponents=frozenset([(0, 0)]),
         )
     _complete(pool, 1)
-    return _minimal_basis(pool)
+    keep = _minimal(pool)
+    return StandardBasis(
+        generators=tuple(
+            # codes decode to distinct exponents, zero terms are never kept and
+            # a row's content is 1, so it is its own integer form over 1
+            Polynomial._raw({_decode(k): c for k, c in entry[0].items()})
+            for entry in keep
+        ),
+        leading_exponents=frozenset((entry[2], entry[3]) for entry in keep),
+    )
 
 
 def colength(basis: StandardBasis):
@@ -400,14 +408,34 @@ def _highest_corner(heights: list[int]) -> int:
     return max([len(heights)] + [i + h for i, h in enumerate(heights)])
 
 
-def _jacobian(f: Polynomial) -> tuple[Polynomial, StandardBasis, list[int]]:
-    """The aligned germ, the standard basis of its Jacobian ideal and its column heights."""
+def _jacobian(f: Polynomial) -> tuple[Polynomial, list[PoolEntry], list[int]]:
+    """The aligned germ, the minimal standard basis of its Jacobian ideal J, its column heights.
+
+    A convenient, Newton non-degenerate germ has mu = nu, the Newton number
+    (Kouchnirenko), and m^mu lies in J, so its partials are first completed
+    modulo m^c, c = nu + 1. That result is kept only when its leading
+    exponents hold both pure powers and their highest corner D is below c.
+    Then m^D lies in J + m^c, which lies in J + m^(D+1), and Nakayama gives
+    m^D in J; so J = J + m^c, and the cut staircase is J's own whatever nu
+    is. Every other germ, and a cut that fails the check, goes to the uncut
+    ``standard_basis``.
+    """
     g = f.aligned()[0]
-    jacobian = standard_basis(g.partials())
+    partials = g.partials()
+    newton = newton_number(g)
+    if newton is not None and newton.non_degenerate:
+        bound = newton.number + 1
+        cut = _encode((bound, 0))
+        pool = [entry for p in partials if (entry := _entry(p, cut))]
+        _complete(pool, 1, cut)
+        heights = _column_heights([(entry[2], entry[3]) for entry in pool])
+        if heights is not None and _highest_corner(heights) < bound:
+            return g, _minimal(pool), heights
+    jacobian = standard_basis(partials)
     heights = _column_heights(jacobian.leading_exponents)
     if heights is None:
         raise NonIsolatedSingularityError("the critical locus is not isolated")
-    return g, jacobian, heights
+    return g, [_entry(p) for p in jacobian.generators], heights
 
 
 def milnor_number(f: Polynomial) -> int:
@@ -434,7 +462,7 @@ def milnor_tjurina(f: Polynomial) -> tuple[int, int]:
     """(milnor_number(f), tjurina_number(f)) from one completion.
 
     The Tjurina ideal is the Jacobian ideal J plus f, so tau extends the
-    minimal generators of J's standard basis by the Mora normal form of f and
+    minimal entries of J's standard basis by the Mora normal form of f and
     completes only the pairs with that new entry; f in J (the
     quasi-homogeneous germs) gives tau = mu at once. The highest corner D of
     J's basis gives m^D in J, so the extension works modulo m^D: it drops
@@ -442,13 +470,13 @@ def milnor_tjurina(f: Polynomial) -> tuple[int, int]:
     exponents together with the degree-D monomials. Each reduction step
     strictly lowers the leading monomial, and fewer than D(D+1)/2 monomials
     lie below degree D, so every normal form of the extension ends within
-    that many steps. Mu's completion is not cut.
+    that many steps.
     """
     g, jacobian, heights = _jacobian(f)
     mu = sum(heights)
     corner = _highest_corner(heights)
     cut = _encode((corner, 0))
-    pool = [entry for p in jacobian.generators if (entry := _entry(p, cut))]
+    pool = [entry for e in jacobian if (entry := _truncated(e, cut))]
     h = _entry(g, cut)
     # with no term below the cut, g lies in m^D and so in J
     remainder, lead = _mora_normal_form(h[0], h[1], pool, cut) if h else ({}, None)
@@ -459,4 +487,3 @@ def milnor_tjurina(f: Polynomial) -> tuple[int, int]:
     leads = {(entry[2], entry[3]) for entry in pool}
     leads.update((i, corner - i) for i in range(corner + 1))
     return mu, sum(_column_heights(leads))
-

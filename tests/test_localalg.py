@@ -18,6 +18,7 @@ from germlab.errors import (
 )
 from germlab.cli import _parse_corpus, _read_corpus_text, main
 from germlab.invariants import germ_report
+from germlab.newton import newton_number
 from germlab.localalg import (
     INFINITE,
     UNSTABLE,
@@ -40,6 +41,7 @@ from germlab.localalg import (
     tjurina_number,
 )
 from germlab.polynomials import ONE, Polynomial, X, Y, parse_polynomial
+from germlab.resolution import mu_topological, resolve_branch
 
 
 # -- the local order ----------------------------------------------------
@@ -761,19 +763,8 @@ BRANCHES = [
     "y - x^2", "x - y^2", "y + x", "y^2 - x^3 - x^2*y^2", "y^2 + x^3",
 ]
 
-# mu's uncut completion does not finish on this product (the oracle gives
-# mu = 17, tau = 15 at once); strict, so the mark has to go once it does
-PRODUCT_HANGS = {("y^2 - x^5", "y^2 - x^3 - x^2*y^2")}
-_XFAIL_PRODUCT = pytest.mark.xfail(reason="Mora hangs on mu", raises=_Hang, strict=True)
 
-
-@pytest.mark.parametrize(
-    "f,g",
-    [
-        pytest.param(f, g, marks=[_XFAIL_PRODUCT] if (f, g) in PRODUCT_HANGS else [])
-        for f, g in combinations(BRANCHES, 2)
-    ],
-)
+@pytest.mark.parametrize("f,g", list(combinations(BRANCHES, 2)))
 def test_milnor_formula_on_products_of_two_branches(f, g):
     f, g = parse_polynomial(f), parse_polynomial(g)
     # i(f, g) is the colength of (f, g), from both pipelines
@@ -911,8 +902,8 @@ def _now_answering():
     return germs
 
 
-@pytest.mark.parametrize("f,mu,tau", _now_answering())
-def test_germs_that_answer_once_coprime_pairs_are_skipped(capsys, f, mu, tau):
+def _answers(capsys, f, mu, tau):
+    """milnor_tjurina and CLI analyze give (mu, tau), as the oracle does."""
     with _time_limit(4.0):
         pair = milnor_tjurina(f)
         code = main(["analyze", str(f), "--format", "json"])
@@ -922,13 +913,39 @@ def test_germs_that_answer_once_coprime_pairs_are_skipped(capsys, f, mu, tau):
     assert pair == (_oracle(f.partials()), _oracle([f, *f.partials()]))
 
 
-# -- the cut ends every normal form of the tau extension --------------------
+@pytest.mark.parametrize("f,mu,tau", _now_answering())
+def test_germs_that_answer_once_coprime_pairs_are_skipped(capsys, f, mu, tau):
+    _answers(capsys, f, mu, tau)
+
+
+# the qh_3_5 draws of the same workload, seeds 1 to 10, and germ E: mu's
+# uncut completion ran past the workload's 0.5 s limit on every one of these
+# (0.96 s on the second draw, over 1 s on the others); cut at nu + 1 they answer
+NU_CUT_DRAWS = [(-2, 1, 2, 3), (1, -1, -1, -2), (1, 2, 1, 3), (-1, -1, 3, -1), (2, 2, 2, -1),
+                (2, -1, 2, -1), (-2, -2, -2, 1), (1, 2, 1, -1), (-2, -1, -1, -3), (1, -2, -3, -1)]
+
+
+def _answering_under_the_nu_cut():
+    germs = [pytest.param((X**5 + Y**7).substitute(X + Y**2, Y + X**3), 24, 24, id="E")]
+    for p, q, c, d in NU_CUT_DRAWS:
+        f = (X**3 + Y**5).substitute(p * X + c * Y**2, q * Y + d * X**2)
+        germs.append(pytest.param(f, 8, 8, id=f"qh_3_5@aut({p},{q},{c},{d})"))
+    return germs
+
+
+@pytest.mark.parametrize("f,mu,tau", _answering_under_the_nu_cut())
+def test_germs_that_answer_under_the_nu_cut(capsys, f, mu, tau):
+    _answers(capsys, f, mu, tau)
+
+
+# -- a cut ends every normal form -------------------------------------------
 
 
 @pytest.mark.parametrize("family", ["corpora", "sheared", "C and D"])
 def test_every_cut_normal_form_ends_within_the_corner_bound(monkeypatch, family):
-    # under the cut at the highest corner D each step lowers the lead among
-    # the D(D+1)/2 monomials of degree below D; nothing else bounds the steps
+    # under a cut at degree c each step lowers the lead among the c(c+1)/2
+    # monomials of degree below c; nothing else bounds the steps. mu's
+    # completion is cut at nu + 1, tau's extension at the highest corner
     steps, calls = 0, []
     reduce_leading, normal_form = localalg._reduce_leading, localalg._mora_normal_form
 
@@ -951,15 +968,101 @@ def test_every_cut_normal_form_ends_within_the_corner_bound(monkeypatch, family)
         germs = [param.values[0] for param in _now_answering()[:2]]
     else:
         germs = list(_certificate_germs(family))
-    checked = 0
+    kinds = set()
     for f in germs:
         calls.clear()
         with _time_limit(4.0):
             milnor_tjurina(f)
         corner, _ = _jacobian_corner(f)
+        nu = newton_number(f.aligned()[0]).number
         for cut, count, remainder in calls:
-            assert cut == _encode((corner, 0)), str(f)
-            assert count <= corner * (corner + 1) // 2, str(f)
-            assert all(_degree(k) < corner for k in remainder), str(f)
-        checked += len(calls)
-    assert checked
+            c = _degree(cut)
+            assert cut == _encode((c, 0)) and c in (nu + 1, corner), str(f)
+            assert count <= c * (c + 1) // 2, str(f)
+            assert all(_degree(k) < c for k in remainder), str(f)
+            kinds.add("corner" if c == corner else "nu")
+    # mu's completion on C and D forms only coprime pairs, so no normal form
+    assert kinds == ({"corner"} if family == "C and D" else {"corner", "nu"})
+
+
+# -- the Newton number: a third mu pipeline ---------------------------------
+
+GERM_A = ((Y**2 - X**3) ** 2 - X**7) ** 2 - X**17 * Y
+GERM_F = parse_polynomial("y^4 - 2 x^3*y^2 - 4 x^5*y + x^6 + x^3*y^4 - x^7 + x^9")
+# (y^p - x^q)^r - x^s, the two-pair branches of the benchmark's survey and verify
+TWO_PAIR_BRANCHES = [(Y**p - X**q) ** r - X**s for p, q, r, s in
+                     [(2, 3, 3, 10), (2, 3, 3, 11), (3, 4, 2, 9), (2, 5, 3, 16)]]
+
+
+def _germs_with_mu(family):
+    """(germ, mu), mu from the corpora, a closed form or the germ table of perfbench."""
+    if family == "corpora":
+        for corpus in ("paper_examples", "branches"):
+            for entry in _parse_corpus(_read_corpus_text(corpus)):
+                yield parse_polynomial(entry.polynomial), entry.expected["milnor"]
+    elif family == "sheared":
+        for a in range(4, 8):
+            for u, v in SHEARS:
+                yield _sheared_reducible(a, u, v), (a - 1) ** 2
+    elif family == "semi_qh":
+        for a, b, f in _semi_quasihomogeneous_germs():
+            yield f, (a - 1) * (b - 1)
+    elif family == "coords and B-E":
+        yield (X**7 + Y**9).substitute(X + Y**2 + 2 * Y, Y + 3 * X**2 - X), 48
+        for param in _now_answering() + _answering_under_the_nu_cut():
+            yield param.values[:2]
+    else:
+        yield GERM_A, 107
+        yield GERM_F, 16
+        for f in TWO_PAIR_BRANCHES:
+            yield f, mu_topological(resolve_branch(f))
+
+
+# degenerate germs per family: F twice in the branches corpus, the ten
+# qh_2_5 draws of COORDS_DRAWS, whose aligned edge is a square
+@pytest.mark.parametrize(
+    "family,degenerate",
+    [("corpora", 2), ("sheared", 0), ("semi_qh", 0), ("coords and B-E", 10), ("degenerate", 6)],
+)
+def test_newton_number_is_mu_exactly_on_non_degenerate_germs(family, degenerate):
+    # Kouchnirenko: mu = nu on a convenient non-degenerate germ, mu >= nu on
+    # any convenient germ; a pipeline that shares no code with Mora
+    seen = 0
+    for f, mu in _germs_with_mu(family):
+        newton = newton_number(f.aligned()[0])
+        assert newton is not None, str(f)
+        assert newton.number == mu if newton.non_degenerate else newton.number <= mu, str(f)
+        seen += not newton.non_degenerate
+    assert seen == degenerate
+
+
+def test_newton_number_of_the_hand_checked_germs():
+    # F's one edge 2i + 3j = 12 has the edge polynomial (y^2 - x^3)^2
+    assert newton_number(GERM_F) == (15, False)
+    # (y^2 - x^5)(y^2 - x^3 - x^2 y^2) = y^4 - x^3 y^2 - ...: edges (0, 4)-(3, 2)
+    # and (3, 2)-(8, 0), area 14, nu = 28 - 8 - 4 + 1
+    product = parse_polynomial("y^2 - x^5") * parse_polynomial("y^2 - x^3 - x^2*y^2")
+    assert newton_number(product) == (17, True)
+    with _time_limit(4.0):
+        assert milnor_tjurina(product) == (17, 15)
+
+
+@pytest.mark.parametrize("shift", [-1, -5, "one", 7])
+@pytest.mark.parametrize("family", ["corpora", "sheared"])
+def test_a_wrong_newton_number_leaves_mu_and_tau(monkeypatch, family, shift):
+    # the nu cut is kept only when its own highest corner proves it harmless,
+    # so a wrong nu may cost time but never changes an answer
+    germs = list(_certificate_germs(family))
+    with _time_limit(8.0):
+        expected = [milnor_tjurina(f) for f in germs]
+
+    def wrong(g):
+        newton = newton_number(g)
+        if newton is None:
+            return None
+        number = 1 if shift == "one" else newton.number + shift
+        return newton._replace(number=number)
+
+    monkeypatch.setattr(localalg, "newton_number", wrong)
+    with _time_limit(8.0):
+        assert [milnor_tjurina(f) for f in germs] == expected
