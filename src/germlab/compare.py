@@ -32,9 +32,7 @@ class ComparisonVerdict:
 
 
 def _is_suffix(candidate: tuple[int, ...], base: tuple[int, ...]) -> bool:
-    if not candidate:
-        return True
-    return len(candidate) <= len(base) and base[len(base) - len(candidate):] == candidate
+    return base[len(base) - len(candidate):] == candidate
 
 
 def not_smoother(candidate: Polynomial, base: Polynomial) -> ComparisonVerdict:

@@ -112,9 +112,7 @@ def dmin_lower(m: int) -> int:
     """
     if m < 2:
         raise MultiplicityTooSmallError("the bound is defined for multiplicity >= 2")
-    half = m // 2
-    p1 = 1 if m % 2 == 0 else 0
-    return m * (m - 1) // 2 - ((half - 1) * (m - half) + 1 - p1)
+    return m * m // 4
 
 
 def claim_check(m: int) -> bool:

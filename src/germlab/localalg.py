@@ -254,12 +254,10 @@ def _s_polynomial(
     f: PoolEntry, g: PoolEntry, cut: int = _NO_CUT
 ) -> tuple[CodeTerms, int | None]:
     # move f to the lcm of both leading monomials, then cancel g against it;
-    # every term lies at or above the lcm, so an lcm at the cut gives zero
+    # the lcm must lie below the cut (``_complete`` queues no other pair)
     f_terms, f_lead, fi, fj, _ = f
     g_terms, g_lead, gi, gj, _ = g
     lcm = _encode((max(fi, gi), max(fj, gj)))
-    if lcm >= cut:
-        return {}, None
     shift = lcm - f_lead
     moved = {k + shift: c for k, c in f_terms.items() if k + shift < cut}
     return _reduce_leading(moved, lcm, g_terms, g_lead, cut)
@@ -286,6 +284,11 @@ def _complete(pool: list[PoolEntry], first_new: int, cut: int = _NO_CUT) -> None
     which keeps the run deterministic. With a ``cut`` the pool is completed
     modulo the monomials at or above it, and no entry may have such a term.
 
+    Each pair is decided once, when it is queued, and the two kinds below
+    are never queued. A pair whose lcm lies at or above the cut has a zero
+    S-polynomial modulo the cut, since every term of f moved to the lcm lies
+    at or above it.
+
     A pair whose leading monomials are coprime is dropped unreduced
     (Buchberger's product criterion), which in two variables is exact for
     the local order. If one leading monomial is 1, that entry is a unit and
@@ -300,30 +303,23 @@ def _complete(pool: list[PoolEntry], first_new: int, cut: int = _NO_CUT) -> None
     that Buchberger's criterion for local orders asks. Modulo the cut the
     dropped terms lie at or above it, so the same holds there.
     """
-
-    def pair_key(i: int, j: int) -> tuple[int, int, int, int]:
-        li, lj = max(pool[i][2], pool[j][2]), max(pool[i][3], pool[j][3])
-        return (li + lj, li, i, j)
-
-    queue: list[tuple[tuple[int, int, int, int], int, int]] = []
-    for j in range(first_new, len(pool)):
-        for i in range(j):
-            heapq.heappush(queue, (pair_key(i, j), i, j))
-
-    while queue:
-        _, i, j = heapq.heappop(queue)
-        if min(pool[i][2], pool[j][2]) == 0 == min(pool[i][3], pool[j][3]):
-            continue
-        s, lead = _s_polynomial(pool[i], pool[j], cut)
-        if not s:
-            continue
-        remainder, lead = _mora_normal_form(s, lead, pool, cut)
-        if not remainder:
-            continue
-        pool.append(_pool_entry(remainder, lead))
-        new = len(pool) - 1
-        for k in range(new):
-            heapq.heappush(queue, (pair_key(k, new), k, new))
+    queue: list[tuple[int, int, int, int]] = []
+    queued = first_new
+    while True:
+        for j in range(queued, len(pool)):
+            fi, fj = pool[j][2:4]
+            for i in range(j):
+                gi, gj = pool[i][2:4]
+                li, lj = max(fi, gi), max(fj, gj)
+                if (min(fi, gi) or min(fj, gj)) and _encode((li, lj)) < cut:
+                    heapq.heappush(queue, (li + lj, li, i, j))
+        queued = len(pool)
+        if not queue:
+            return
+        _, _, i, j = heapq.heappop(queue)
+        remainder, lead = _mora_normal_form(*_s_polynomial(pool[i], pool[j], cut), pool, cut)
+        if remainder:
+            pool.append(_pool_entry(remainder, lead))
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:

@@ -7,7 +7,8 @@ exceptional curve is x = 0. The strict transform is then the exact exponent
 shift (i, j) -> (i + j - m, j), where m is the multiplicity being blown up.
 
 ``_aligned_stages`` aligns each stage once, for both the next blowup and the
-stage's mu and tau. Of the package, this module imports only ``polynomials``.
+stage's mu and tau. Of the package, this module imports only ``errors`` and
+``polynomials``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -580,3 +583,34 @@ def test_stdout_bytes_are_pinned(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha1(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[argv]
+
+
+# -- README examples ----------------------------------------------------------
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```", README, re.M | re.S)
+
+
+def _readme_commands():
+    # every germlab command of the usage examples except the placeholder path
+    return [
+        shlex.split(line)[1:]
+        for block in _readme_blocks("sh")
+        for line in block.splitlines()
+        if line.startswith("germlab ") and "path/to/my.corpus" not in line
+    ]
+
+
+def test_readme_library_example_runs():
+    (block,) = _readme_blocks("python")
+    exec(compile(block, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_exit_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out

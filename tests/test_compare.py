@@ -1,9 +1,12 @@
 """Tests for the one-sided "not smoother than" comparison."""
 
+from itertools import product
+
 from germlab.compare import (
     BRANCH_CAVEAT,
     INCONCLUSIVE,
     NOT_SMOOTHER,
+    _is_suffix,
     not_smoother,
 )
 from germlab.polynomials import parse_polynomial
@@ -96,3 +99,15 @@ def test_reports_are_attached():
     verdict = not_smoother(left, right)
     assert verdict.left.input == left
     assert verdict.right.input == right
+
+
+def test_is_suffix_matches_its_definition():
+    # every tuple of length at most 4 over {2, 3, 4}, as candidate and as
+    # base, so candidates longer than the base are included
+    tuples = [t for n in range(5) for t in product((2, 3, 4), repeat=n)]
+    for candidate in tuples:
+        for base in tuples:
+            expected = not candidate or (
+                len(candidate) <= len(base) and base[-len(candidate):] == candidate
+            )
+            assert _is_suffix(candidate, base) == expected, (candidate, base)

@@ -794,12 +794,14 @@ def _coprime(first, second):
 @pytest.mark.parametrize("u,v", SHEARS)
 @pytest.mark.parametrize("a", [4, 5, 6, 7])
 def test_completion_never_forms_a_coprime_pair(monkeypatch, a, u, v):
+    # pairs are decided when queued: _s_polynomial sees no coprime pair and
+    # no pair whose lcm lies at or above the cut
     seen = []
     original = localalg._s_polynomial
 
-    def spy(f, g, *cut):
-        seen.append((_decode(f[1]), _decode(g[1])))
-        return original(f, g, *cut)
+    def spy(f, g, cut=localalg._NO_CUT):
+        seen.append((_decode(f[1]), _decode(g[1]), cut))
+        return original(f, g, cut)
 
     monkeypatch.setattr(localalg, "_s_polynomial", spy)
     f = _sheared_reducible(a, u, v)
@@ -808,7 +810,13 @@ def test_completion_never_forms_a_coprime_pair(monkeypatch, a, u, v):
         standard_basis([f, *f.partials()])
         milnor_tjurina(f)
     assert seen
-    assert [pair for pair in seen if _coprime(*pair)] == []
+    assert any(cut < localalg._NO_CUT for _, _, cut in seen)
+    assert [pair for pair in seen if _coprime(*pair[:2])] == []
+    assert [
+        (first, second, cut)
+        for first, second, cut in seen
+        if _encode((max(first[0], second[0]), max(first[1], second[1]))) >= cut
+    ] == []
 
 
 def test_skipping_coprime_pairs_halves_the_mu_completion(monkeypatch):

@@ -104,6 +104,22 @@ def test_arithmetic_basics():
     assert p ** 2 == parse_polynomial("x^2 + 2*x*y + y^2")
 
 
+@pytest.mark.parametrize(
+    "operation,error",
+    [
+        (lambda: ZERO.total_degree(), ZeroPolynomialError),
+        (lambda: X + 1, TypeError),
+        (lambda: X - 1, TypeError),
+        (lambda: X * "x", TypeError),
+        (lambda: X ** -1, ValueError),
+    ],
+    ids=["zero total_degree", "p + 1", "p - 1", "p * str", "p ** -1"],
+)
+def test_operations_outside_the_ring_raise(operation, error):
+    with pytest.raises(error):
+        operation()
+
+
 def test_pow_matches_repeated_product():
     p = parse_polynomial("1 + x + y^2")
     q = ONE
