@@ -13,13 +13,14 @@ Two independent colength computations live here on purpose:
   completion skips pairs whose leading monomials are coprime, a pure power
   of x against a pure power of y, because two such generators share no
   tangent and so already form a standard basis of the ideal they span;
-  ``milnor_tjurina`` gets tau by extending mu's standard basis with f
-  instead of completing the Tjurina ideal from scratch, and drops every term
-  at or above the highest corner D of that basis (m^D lies in the Jacobian
-  ideal), so each normal form of the extension ends within D(D+1)/2 steps;
-  on a convenient, Newton non-degenerate germ mu's completion is cut at
-  nu + 1, nu the Newton number, and kept only when its own highest corner
-  proves the cut harmless (see ``_jacobian``); the public
+  mu and ``tjurina_number``'s tau take one route, ``_colength``: on a
+  convenient, Newton non-degenerate germ the ideal is completed modulo
+  m^(nu+1), nu the Newton number, and kept only when its own highest corner
+  proves the cut harmless, and every other germ gets the uncut
+  ``standard_basis``; ``milnor_tjurina`` gets tau by extending mu's
+  standard basis with f instead, and drops every term at or above the
+  highest corner D of that basis (m^D lies in the Jacobian ideal), so each
+  normal form of the extension ends within D(D+1)/2 steps; the public
   ``standard_basis`` and the oracle are never cut;
 * ``colength_oracle`` computes the codimension of a degree-truncated ideal by
   integer Gaussian elimination, certifying exactness via stability at two
@@ -404,54 +405,47 @@ def _highest_corner(heights: list[int]) -> int:
     return max([len(heights)] + [i + h for i, h in enumerate(heights)])
 
 
-def _jacobian(f: Polynomial) -> tuple[Polynomial, list[PoolEntry], list[int]]:
-    """The aligned germ, the minimal standard basis of its Jacobian ideal J, its column heights.
+def _colength(
+    g: Polynomial, generators: Sequence[Polynomial]
+) -> tuple[list[PoolEntry], list[int]]:
+    """Minimal standard basis and column heights of the ideal I of the generators.
 
-    A convenient, Newton non-degenerate germ has mu = nu, the Newton number
-    (Kouchnirenko), and m^mu lies in J, so its partials are first completed
-    modulo m^c, c = nu + 1. That result is kept only when its leading
-    exponents hold both pure powers and their highest corner D is below c.
-    Then m^D lies in J + m^c, which lies in J + m^(D+1), and Nakayama gives
-    m^D in J; so J = J + m^c, and the cut staircase is J's own whatever nu
-    is. Every other germ, and a cut that fails the check, goes to the uncut
+    I is the Jacobian or the Tjurina ideal of the aligned germ g, so it
+    contains the Jacobian ideal J. When g is convenient and Newton
+    non-degenerate, mu = nu (Kouchnirenko) and m^nu lies in J, hence in I,
+    so the generators are first completed modulo m^c, c = nu + 1. The result
+    is kept only when its leading exponents hold both pure powers with
+    highest corner D < c: then m^D lies in I + m^c, inside I + m^(D+1), and
+    Nakayama gives m^D in I, so the cut staircase is I's own whatever nu is.
+    Every other germ, and a cut that fails the check, gets the uncut
     ``standard_basis``.
     """
-    g = f.aligned()[0]
-    partials = g.partials()
     newton = newton_number(g)
     if newton is not None and newton.non_degenerate:
         bound = newton.number + 1
         cut = _encode((bound, 0))
-        pool = [entry for p in partials if (entry := _entry(p, cut))]
+        pool = [entry for p in generators if (entry := _entry(p, cut))]
         _complete(pool, 1, cut)
         heights = _column_heights([(entry[2], entry[3]) for entry in pool])
         if heights is not None and _highest_corner(heights) < bound:
-            return g, _minimal(pool), heights
-    jacobian = standard_basis(partials)
-    heights = _column_heights(jacobian.leading_exponents)
+            return _minimal(pool), heights
+    basis = standard_basis(generators)
+    heights = _column_heights(basis.leading_exponents)
     if heights is None:
         raise NonIsolatedSingularityError("the critical locus is not isolated")
-    return g, [_entry(p) for p in jacobian.generators], heights
+    return [_entry(p) for p in basis.generators], heights
 
 
 def milnor_number(f: Polynomial) -> int:
     """Colength of the ideal of both partial derivatives; requires it finite."""
-    return sum(_jacobian(f)[2])
+    g = f.aligned()[0]
+    return sum(_colength(g, g.partials())[1])
 
 
 def tjurina_number(f: Polynomial) -> int:
-    """Colength of the ideal of f and both partial derivatives.
-
-    Completes the Tjurina ideal from scratch instead of extending mu's basis
-    as ``milnor_tjurina`` does, because it answers germs where mu's uncut
-    completion hangs (germ A of the roadmap, in milliseconds). The route
-    stays separate until mu's completion has the highest corner.
-    """
+    """Colength of the ideal of f and both partial derivatives, by mu's route."""
     g = f.aligned()[0]
-    value = colength(standard_basis([g, *g.partials()]))
-    if value is INFINITE:
-        raise NonIsolatedSingularityError("the singular locus is not isolated")
-    return value
+    return sum(_colength(g, [g, *g.partials()])[1])
 
 
 def milnor_tjurina(f: Polynomial) -> tuple[int, int]:
@@ -468,7 +462,8 @@ def milnor_tjurina(f: Polynomial) -> tuple[int, int]:
     lie below degree D, so every normal form of the extension ends within
     that many steps.
     """
-    g, jacobian, heights = _jacobian(f)
+    g = f.aligned()[0]
+    jacobian, heights = _colength(g, g.partials())
     mu = sum(heights)
     corner = _highest_corner(heights)
     cut = _encode((corner, 0))

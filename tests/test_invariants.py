@@ -113,7 +113,10 @@ def test_dmin_lower_values():
 
 
 def test_dmin_lower_is_the_floor_of_a_quarter_square():
-    assert all(dmin_lower(m) == m * m // 4 for m in range(2, 10**4 + 1))
+    # floor(m^2/4) by the parity of m, not by the expression dmin_lower returns
+    for h in range(1, 100):
+        assert dmin_lower(2 * h) == h * h
+        assert dmin_lower(2 * h + 1) == h * (h + 1)
 
 
 def test_dmin_lower_rejects_small():

@@ -746,9 +746,9 @@ def test_milnor_tjurina_edge_cases():
 
 
 def test_tjurina_number_answers_germ_a_from_scratch():
-    # germ A of the roadmap: mu's uncut completion, and so milnor_tjurina,
-    # does not finish on it, while the from-scratch Tjurina completion takes
-    # milliseconds; this is why tjurina_number keeps its own route
+    # germ A of the roadmap is degenerate, so both of its ideals go uncut:
+    # mu's completion, and so milnor_tjurina, does not finish on it, while
+    # the Tjurina ideal's takes milliseconds
     f = ((Y**2 - X**3) ** 2 - X**7) ** 2 - X**17 * Y
     with _time_limit(4.0):
         tau = tjurina_number(f)
@@ -946,6 +946,36 @@ def test_germs_that_answer_under_the_nu_cut(capsys, f, mu, tau):
     _answers(capsys, f, mu, tau)
 
 
+# tjurina_number completed these Tjurina ideals uncut and ran past 4 s on
+# each; mu's route cuts them at nu + 1, and each answers in milliseconds
+TJURINA_UNDER_THE_NU_CUT = {
+    "semi-qh hang": 21,
+    "E": 24,
+    "six-term product": 15,
+    "red_4_3@aut(1,-1,-1,1)": 9,
+    "red_4_3@aut(-2,1,3,-3)": 9,
+}
+
+
+def _tjurina_under_the_nu_cut():
+    params = _now_answering() + _answering_under_the_nu_cut()
+    germs = {param.id: param.values[0] for param in params}
+    germs["semi-qh hang"] = parse_polynomial(next(iter(MORA_HANGS)))
+    germs["six-term product"] = (
+        parse_polynomial("y^2 - x^5") * parse_polynomial("y^2 - x^3 - x^2*y^2")
+    )
+    return [
+        pytest.param(germs[name], tau, id=name) for name, tau in TJURINA_UNDER_THE_NU_CUT.items()
+    ]
+
+
+@pytest.mark.parametrize("f,tau", _tjurina_under_the_nu_cut())
+def test_tjurina_number_takes_mu_s_route(f, tau):
+    with _time_limit(4.0):
+        value = tjurina_number(f)
+    assert value == tau == _oracle([f, *f.partials()])
+
+
 # -- a cut ends every normal form -------------------------------------------
 
 
@@ -953,7 +983,8 @@ def test_germs_that_answer_under_the_nu_cut(capsys, f, mu, tau):
 def test_every_cut_normal_form_ends_within_the_corner_bound(monkeypatch, family):
     # under a cut at degree c each step lowers the lead among the c(c+1)/2
     # monomials of degree below c; nothing else bounds the steps. mu's
-    # completion is cut at nu + 1, tau's extension at the highest corner
+    # completion and tjurina_number's are cut at nu + 1, tau's extension at
+    # the highest corner
     steps, calls = 0, []
     reduce_leading, normal_form = localalg._reduce_leading, localalg._mora_normal_form
 
@@ -972,25 +1003,31 @@ def test_every_cut_normal_form_ends_within_the_corner_bound(monkeypatch, family)
 
     monkeypatch.setattr(localalg, "_reduce_leading", counting)
     monkeypatch.setattr(localalg, "_mora_normal_form", recording)
+    both = (milnor_tjurina, tjurina_number)
     if family == "C and D":
-        germs = [param.values[0] for param in _now_answering()[:2]]
+        germ_c, germ_d = (param.values[0] for param in _now_answering()[:2])
+        # tjurina_number runs past 30 s on C, cut at nu + 1 or not
+        runs = [(germ_c, (milnor_tjurina,)), (germ_d, both)]
     else:
-        germs = list(_certificate_germs(family))
-    kinds = set()
-    for f in germs:
-        calls.clear()
-        with _time_limit(4.0):
-            milnor_tjurina(f)
+        runs = [(f, both) for f in _certificate_germs(family)]
+    kinds = {function: set() for function in both}
+    for f, functions in runs:
         corner, _ = _jacobian_corner(f)
         nu = newton_number(f.aligned()[0]).number
-        for cut, count, remainder in calls:
-            c = _degree(cut)
-            assert cut == _encode((c, 0)) and c in (nu + 1, corner), str(f)
-            assert count <= c * (c + 1) // 2, str(f)
-            assert all(_degree(k) < c for k in remainder), str(f)
-            kinds.add("corner" if c == corner else "nu")
+        for function in functions:
+            calls.clear()
+            with _time_limit(4.0):
+                function(f)
+            for cut, count, remainder in calls:
+                c = _degree(cut)
+                assert cut == _encode((c, 0)) and c in (nu + 1, corner), str(f)
+                assert count <= c * (c + 1) // 2, str(f)
+                assert all(_degree(k) < c for k in remainder), str(f)
+                kinds[function].add("corner" if c == corner else "nu")
     # mu's completion on C and D forms only coprime pairs, so no normal form
-    assert kinds == ({"corner"} if family == "C and D" else {"corner", "nu"})
+    assert kinds[milnor_tjurina] == ({"corner"} if family == "C and D" else {"corner", "nu"})
+    # tjurina_number extends nothing: its one cut is nu + 1
+    assert kinds[tjurina_number] == {"nu"}
 
 
 # -- the Newton number: a third mu pipeline ---------------------------------
