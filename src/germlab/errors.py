@@ -45,10 +45,6 @@ class NotSingularError(GermError):
     """A smooth germ was given where a singular one is required."""
 
 
-class ReducibleTangentConeError(GermError):
-    """The tangent cone has several distinct directions; no single center exists."""
-
-
 class NotABranchError(GermError):
     """The germ is not irreducible; branch-only computations cannot proceed.
 
@@ -74,7 +70,3 @@ class CorpusFormatError(GermError):
 
 class MultiplicityTooSmallError(GermError):
     """A bound was requested for multiplicity below 2, where it is undefined."""
-
-
-class SmoothGermError(GermError):
-    """A ratio test was requested for a smooth germ, where it is undefined."""

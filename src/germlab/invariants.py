@@ -15,7 +15,6 @@ from .errors import (
     MultiplicityTooSmallError,
     NotABranchError,
     NotSingularError,
-    SmoothGermError,
     ZeroPolynomialError,
 )
 # milnor_number stays bound here: perfbench's tracer wraps it under this name
@@ -58,7 +57,7 @@ def _report_and_stages(
 ) -> tuple[InvariantReport, list[Stage] | NotABranchError]:
     """germ_report's work, with f's aligned stages or the error that refused them."""
     # the CLI pins `analyze "0"` to this error and `resolve "0"` to NotAGermError
-    if f.is_zero():
+    if not f:
         raise ZeroPolynomialError("the zero polynomial defines no germ")
     stages = _aligned_stages(f)
     first = next(stages)
@@ -122,8 +121,6 @@ def claim_check(m: int) -> bool:
 
 def claim_check_range(lo: int, hi: int) -> bool:
     """claim_check for every multiplicity in [lo, hi]; False at the first failure."""
-    if lo < 2:
-        raise MultiplicityTooSmallError("the bound is defined for multiplicity >= 2")
     return all(claim_check(m) for m in range(lo, hi + 1))
 
 
@@ -221,7 +218,7 @@ def theorem_verify(f: Polynomial) -> list[int]:
 
 
 def ratio_check(report: InvariantReport) -> bool:
-    """Strict inequality mu/tau < 4/3, i.e. 3*mu < 4*tau, for a singular germ."""
+    """Strict inequality mu/tau < 4/3, i.e. 3*mu < 4*tau; NotSingularError for a smooth germ."""
     if report.milnor < 1:
-        raise SmoothGermError("the ratio is undefined for smooth germs")
+        raise NotSingularError("the ratio is undefined for smooth germs")
     return 3 * report.milnor < 4 * report.tjurina

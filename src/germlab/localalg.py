@@ -121,7 +121,7 @@ def colength_oracle(generators: Iterable[Polynomial], degree_cap: int):
     """
     if degree_cap < 2:
         raise ValueError("degree_cap must be at least 2")
-    polys = [p for p in generators if not p.is_zero()]
+    polys = [p for p in generators if p]
     low = _truncated_codimension(polys, degree_cap - 1)
     high = _truncated_codimension(polys, degree_cap)
     return high if low == high else UNSTABLE
@@ -349,7 +349,7 @@ def standard_basis(generators: Iterable[Polynomial]) -> StandardBasis:
     S-polynomials are known to have standard representations (see
     ``_complete``).
     """
-    pool = [_entry(p) for p in generators if not p.is_zero()]
+    pool = [_entry(p) for p in generators if p]
     if not pool:
         raise ZeroIdealError("all generators are zero")
     # a unit generator spans the whole local ring; Mora reduction by a unit

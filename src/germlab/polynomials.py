@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import ItemsView, Iterable, Mapping, Optional, Union
+from typing import ItemsView, Mapping, Optional, Union
 
 from .errors import (
     DegreeCapError,
@@ -56,26 +56,21 @@ Direction = Union[Slope, Vertical]
 
 
 class Polynomial:
-    """A polynomial in x and y with exact rational coefficients."""
+    """A polynomial in x and y with exact rational coefficients.
+
+    Built from a mapping (deg_x, deg_y) -> coefficient; zero coefficients are dropped.
+    """
 
     __slots__ = ("_terms", "_den")
 
-    def __init__(self, terms: Mapping[Exponent, object] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: Mapping[Exponent, object] = {}):
         clean: dict[Exponent, Fraction] = {}
-        for (i, j), c in items:
+        for (i, j), c in terms.items():
             if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
                 raise ValueError(f"bad exponent pair {(i, j)!r}")
             c = Fraction(c)
-            if not c:
-                continue
-            acc = clean.get((i, j))
-            if acc is None:
+            if c:
                 clean[(i, j)] = c
-            elif acc + c:
-                clean[(i, j)] = acc + c
-            else:
-                del clean[(i, j)]
         self._den = lcm(*(c.denominator for c in clean.values()))
         self._terms = {k: c.numerator * (self._den // c.denominator) for k, c in clean.items()}
 
@@ -98,9 +93,6 @@ class Polynomial:
         """The exponent-to-coefficient map as Fractions, in storage order; a new dict."""
         den = self._den
         return {k: Fraction(a, den) for k, a in self._terms.items()}
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -256,22 +248,19 @@ class Polynomial:
         return acc * Fraction(1, self._den)
 
     def substitute_linear(
-        self,
-        matrix: tuple[tuple[object, object], tuple[object, object]],
-        translation: tuple[object, object] = (0, 0),
+        self, matrix: tuple[tuple[object, object], tuple[object, object]]
     ) -> "Polynomial":
-        """Compose with an invertible affine change of coordinates.
+        """Compose with an invertible linear change of coordinates.
 
-        With matrix ((a, b), (c, d)) and translation (e, g) this returns
-        f(a*x + b*y + e, c*x + d*y + g), computed exactly.
+        With matrix ((a, b), (c, d)) this returns f(a*x + b*y, c*x + d*y),
+        computed exactly; the origin stays fixed, so a germ stays a germ.
         """
         (a, b), (c, d) = matrix
         a, b, c, d = (Fraction(v) for v in (a, b, c, d))
         if a * d - b * c == 0:
             raise SingularMatrixError("substitution matrix is singular")
-        e, g = (Fraction(v) for v in translation)
-        px = Polynomial({(1, 0): a, (0, 1): b, (0, 0): e})
-        py = Polynomial({(1, 0): c, (0, 1): d, (0, 0): g})
+        px = Polynomial({(1, 0): a, (0, 1): b})
+        py = Polynomial({(1, 0): c, (0, 1): d})
         return self.substitute(px, py)
 
     def _integer_form(self) -> tuple[int, ItemsView[Exponent, int]]:

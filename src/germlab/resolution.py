@@ -24,7 +24,6 @@ from .errors import (
     NonIsolatedSingularityError,
     NotABranchError,
     NotSingularError,
-    ReducibleTangentConeError,
 )
 from .polynomials import Direction, Polynomial, Vertical
 
@@ -60,15 +59,16 @@ def _blowup(aligned: Polynomial, direction: Direction, m: int) -> BlowupStep:
 def strict_transform_once(f: Polynomial) -> BlowupStep:
     """Blow up the origin once and follow the unique point of the strict transform.
 
-    Requires a singular germ whose tangent cone is a single direction;
-    raises NotSingularError or ReducibleTangentConeError otherwise.
+    Requires a singular germ whose tangent cone is a single direction. Raises
+    NotSingularError for a smooth germ and, for a split tangent cone, the
+    NotABranchError with stage 0 that resolve_branch raises on the same germ.
     """
     aligned, direction, m = f.aligned()
     if m < 2:
         raise NotSingularError("the germ is smooth; nothing to blow up")
     if direction is None:
-        raise ReducibleTangentConeError(
-            "tangent cone has several directions; the germ is not a branch here"
+        raise NotABranchError(
+            "tangent cone splits at stage 0; the germ is not a branch", stage=0
         )
     return _blowup(aligned, direction, m)
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import shlex
+import signal
 import sys
 from pathlib import Path
 
@@ -191,6 +192,37 @@ def test_verify_table(capsys):
     assert code == 0
     assert "law check stage 0" in out
     assert "theorem chain: [-2, 0]" in out
+
+
+def test_verify_answers_the_semi_quasihomogeneous_draw(capsys):
+    # it hung on its first strict transform before mu's completion was cut
+    text = "x^5 + 3 x^3*y^3 + y^7 + 2 x^4*y^4 + 2 x^3*y^6"
+
+    def expire(signum, frame):
+        raise TimeoutError("verify gave no answer within 4 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 4.0)
+    try:
+        code, out, _ = run(capsys, "verify", text, "--format", "json")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["theorem_chain"] == [-12, -4, -2, 0]
+    checks = payload["law_checks"]
+    assert all(check["all_ok"] for check in checks)
+    pairs = [(c["mu_before"], c["tau_before"]) for c in checks]
+    pairs.append((checks[-1]["mu_after"], checks[-1]["tau_after"]))
+    f = polynomials.parse_polynomial(text)
+    stages = [f] + [step.strict_transform for step in resolution.resolve_branch(f).steps]
+    oracle = [
+        (localalg.colength_oracle(g.partials(), 12),
+         localalg.colength_oracle([g, *g.partials()], 12))
+        for g in stages
+    ]
+    assert pairs == oracle == [(24, 21), (4, 4), (2, 2), (0, 0)]
 
 
 def test_verify_reducible_exit_two(capsys):

@@ -10,7 +10,6 @@ from germlab.errors import (
     NotABranchError,
     NotAGermError,
     NotSingularError,
-    SmoothGermError,
     ZeroPolynomialError,
 )
 from germlab.invariants import (
@@ -248,5 +247,5 @@ def test_ratio_check_values():
 
 
 def test_ratio_check_rejects_smooth():
-    with pytest.raises(SmoothGermError):
+    with pytest.raises(NotSingularError):
         ratio_check(germ_report(parse_polynomial("x + y")))

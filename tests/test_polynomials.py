@@ -43,17 +43,18 @@ def test_terms_are_canonical():
     assert p.coefficient(5, 5) == 0
 
 
-def test_constructor_merges_repeated_exponents_and_rejects_bad_ones():
-    assert Polynomial([((1, 0), 1), ((1, 0), -1)]).is_zero()
-    assert Polynomial([((1, 0), 1), ((1, 0), 2)]) == 3 * X
+def test_constructor_takes_a_mapping_and_rejects_bad_exponents():
+    # a list of (exponent, coefficient) pairs is not a mapping
+    with pytest.raises(AttributeError):
+        Polynomial([((1, 0), 1), ((1, 0), 2)])
     with pytest.raises(ValueError, match=r"bad exponent pair \(-1, 0\)"):
         Polynomial({(-1, 0): 1})
 
 
 def test_zero_polynomial():
-    assert ZERO.is_zero()
+    assert ZERO.terms == {}
     assert not ZERO
-    assert Polynomial({(1, 0): 0}).is_zero()
+    assert not Polynomial({(1, 0): 0})
     with pytest.raises(ZeroPolynomialError):
         ZERO.order()
 
@@ -78,7 +79,7 @@ def test_partials():
     assert fx == parse_polynomial("-3*x^2")
     assert fy == parse_polynomial("2*y")
     fx, fy = ONE.partials()
-    assert fx.is_zero() and fy.is_zero()
+    assert not fx and not fy
     fx, fy = parse_polynomial("x^6*y^6").partials()
     assert fx == parse_polynomial("6*x^5*y^6")
     assert fy == parse_polynomial("6*x^6*y^5")
@@ -159,12 +160,6 @@ def test_substitute_linear_swap():
     assert p.substitute_linear(((0, 1), (1, 0))) == parse_polynomial("x^2 - y^3")
 
 
-def test_substitute_linear_translation():
-    p = parse_polynomial("x^2 + y")
-    moved = p.substitute_linear(((1, 0), (0, 1)), translation=(1, -1))
-    assert moved == parse_polynomial("x^2 + 2*x + y")
-
-
 def test_substitute_linear_singular_matrix():
     p = parse_polynomial("x + y")
     with pytest.raises(SingularMatrixError):
@@ -197,7 +192,7 @@ def test_print_parse_round_trip_is_identity():
             i, j = rng.randint(0, 6), rng.randint(0, 6)
             terms[(i, j)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         p = Polynomial(terms)
-        if p.is_zero():
+        if not p:
             continue
         assert parse_polynomial(str(p)) == p
 
@@ -230,7 +225,7 @@ def test_parse_rational_coefficients():
 
 
 def test_parse_cancellation():
-    assert parse_polynomial("x*y - x*y").is_zero()
+    assert not parse_polynomial("x*y - x*y")
 
 
 PARSE_ERRORS = {
@@ -859,7 +854,7 @@ def test_order_and_initial_form_multiplicative_random():
     rng = random.Random(772)
     for _ in range(60):
         p, q = _random_poly(rng), _random_poly(rng)
-        if p.is_zero() or q.is_zero():
+        if not p or not q:
             continue
         assert (p * q).order() == p.order() + q.order()
         assert (p * q).initial_form() == p.initial_form() * q.initial_form()

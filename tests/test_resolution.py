@@ -14,7 +14,6 @@ from germlab.errors import (
     NonIsolatedSingularityError,
     NotABranchError,
     NotSingularError,
-    ReducibleTangentConeError,
 )
 from germlab.localalg import milnor_number
 from germlab.polynomials import VERTICAL, Slope, parse_polynomial
@@ -101,8 +100,14 @@ def test_strict_transform_rejects_smooth():
 
 
 def test_strict_transform_rejects_split_cone():
-    with pytest.raises(ReducibleTangentConeError):
-        strict_transform_once(parse_polynomial("x*y"))
+    # the same error, stage and message that resolve_branch gives the same germ
+    f = parse_polynomial("x*y")
+    with pytest.raises(NotABranchError) as info:
+        strict_transform_once(f)
+    assert info.value.stage == 0
+    with pytest.raises(NotABranchError) as resolved:
+        resolve_branch(f)
+    assert str(info.value) == str(resolved.value)
 
 
 def test_mu_drop_law_single_step():
