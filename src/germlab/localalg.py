@@ -17,7 +17,11 @@ Two independent colength computations live here on purpose:
   convenient, Newton non-degenerate germ the ideal is completed modulo
   m^(nu+1), nu the Newton number, and kept only when its own highest corner
   proves the cut harmless, and every other germ gets the uncut
-  ``standard_basis``; ``milnor_tjurina`` gets tau by extending mu's
+  ``standard_basis``; before that, ``_newton_coordinates`` moves a germ
+  whose Newton boundary is the single edge e0 (y + r x^p)^m by
+  y -> y - r x^p, so one that is degenerate only in its coordinates takes
+  the cut, while an edge that is a power of y^2 - x^3 has no such shift and
+  stays uncut; ``milnor_tjurina`` gets tau by extending mu's
   standard basis with f instead, and drops every term at or above the
   highest corner D of that basis (m^D lies in the Jacobian ideal), so each
   normal form of the extension ends within D(D+1)/2 steps; the public
@@ -45,10 +49,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import gcd
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import NonIsolatedSingularityError, ZeroIdealError
-from .newton import newton_number
+from .newton import Newton, newton_polygon
 from .polynomials import ONE, Polynomial
 
 Exponent = tuple[int, int]
@@ -406,21 +410,22 @@ def _highest_corner(heights: list[int]) -> int:
 
 
 def _colength(
-    g: Polynomial, generators: Sequence[Polynomial]
+    generators: Sequence[Polynomial], newton: Optional[Newton]
 ) -> tuple[list[PoolEntry], list[int]]:
     """Minimal standard basis and column heights of the ideal I of the generators.
 
-    I is the Jacobian or the Tjurina ideal of the aligned germ g, so it
-    contains the Jacobian ideal J. When g is convenient and Newton
-    non-degenerate, mu = nu (Kouchnirenko) and m^nu lies in J, hence in I,
-    so the generators are first completed modulo m^c, c = nu + 1. The result
-    is kept only when its leading exponents hold both pure powers with
+    I is the Jacobian or the Tjurina ideal of a germ g whose Newton data is
+    ``newton``, so it contains the Jacobian ideal J. When g is convenient and
+    Newton non-degenerate, mu = nu (Kouchnirenko) and m^nu lies in J, hence in
+    I, so the generators are first completed modulo m^c, c = nu + 1. The
+    result is kept only when its leading exponents hold both pure powers with
     highest corner D < c: then m^D lies in I + m^c, inside I + m^(D+1), and
     Nakayama gives m^D in I, so the cut staircase is I's own whatever nu is.
     Every other germ, and a cut that fails the check, gets the uncut
-    ``standard_basis``.
+    ``standard_basis``. ``_newton_coordinates`` has already moved g off a
+    single degenerate edge e0 (y + r x^p)^m; a degenerate germ left, such as
+    one whose edge is a power of y^2 - x^3, is completed uncut.
     """
-    newton = newton_number(g)
     if newton is not None and newton.non_degenerate:
         bound = newton.number + 1
         cut = _encode((bound, 0))
@@ -436,16 +441,48 @@ def _colength(
     return [_entry(p) for p in basis.generators], heights
 
 
+def _newton_coordinates(f: Polynomial) -> tuple[Polynomial, Optional[Newton]]:
+    """The aligned germ g of f after the shifts below, and its Newton data.
+
+    While g is convenient, nu < (d - 1)^2 with d the degree of the aligned
+    germ, and g's lower Newton boundary is the single edge from (0, m) to
+    (pm, 0) with edge polynomial e0 (y + r x^p)^m, m >= 2, g(x, y - r x^p)
+    replaces g. That is an automorphism of Q[[x, y]], so mu and tau stay,
+    and no answer rests on nu: ``_colength`` checks every cut it takes.
+
+    The loop ends. By Pick's theorem nu = 2I + B, with I the lattice points
+    (i, j), i, j >= 1, strictly below the boundary and B those on it. The
+    shift is homogeneous for the weights (1, p) of x and y: it turns the
+    edge polynomial into e0 y^m and leaves every other term at weight above
+    pm. So the new boundary lies on or above the edge, and the m - 1 points
+    (pk, m - k), 0 < k < m, of the edge lie strictly below it: each shift
+    raises nu by at least m - 1 >= 1, and the loop stops once nu reaches
+    (d - 1)^2. A germ still on such an edge there has infinite mu: a further
+    shift would put nu past (d - 1)^2, while mu >= nu (Kouchnirenko, applied
+    after adding a high power of x, which keeps a finite mu) and mu <= (d - 1)^2
+    (local Bezout for g_x and g_y of degree d - 1) if mu is finite.
+    ``_colength`` then finds it so uncut.
+    """
+    g = f.aligned()[0]
+    bound = (g.total_degree() - 1) ** 2
+    polygon = newton_polygon(g)
+    while polygon is not None and polygon[1] is not None and polygon[0].number < bound:
+        r, p = polygon[1]
+        g = g._shear(-r, p)
+        polygon = newton_polygon(g)
+    return g, None if polygon is None else polygon[0]
+
+
 def milnor_number(f: Polynomial) -> int:
     """Colength of the ideal of both partial derivatives; requires it finite."""
-    g = f.aligned()[0]
-    return sum(_colength(g, g.partials())[1])
+    g, newton = _newton_coordinates(f)
+    return sum(_colength(g.partials(), newton)[1])
 
 
 def tjurina_number(f: Polynomial) -> int:
     """Colength of the ideal of f and both partial derivatives, by mu's route."""
-    g = f.aligned()[0]
-    return sum(_colength(g, [g, *g.partials()])[1])
+    g, newton = _newton_coordinates(f)
+    return sum(_colength([g, *g.partials()], newton)[1])
 
 
 def milnor_tjurina(f: Polynomial) -> tuple[int, int]:
@@ -462,8 +499,8 @@ def milnor_tjurina(f: Polynomial) -> tuple[int, int]:
     lie below degree D, so every normal form of the extension ends within
     that many steps.
     """
-    g = f.aligned()[0]
-    jacobian, heights = _colength(g, g.partials())
+    g, newton = _newton_coordinates(f)
+    jacobian, heights = _colength(g.partials(), newton)
     mu = sum(heights)
     corner = _highest_corner(heights)
     cut = _encode((corner, 0))

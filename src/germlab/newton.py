@@ -12,12 +12,16 @@ sum c_k t^k, with c_k the coefficient of x^(i0 + kp) y^(j0 - kq) and
 (p, q) one step; c_0 and c_g are nonzero, so a repeated root is one of
 gcd(P, P'), computed over Z with primitive pseudo-remainders.
 
-Both numbers depend on the coordinates; mu does not.
+Both numbers depend on the coordinates; mu does not. When the boundary is
+the single edge from (0, m) to (pm, 0), m >= 2, with edge polynomial
+e0 (y + r x^p)^m, the substitution y -> y - r x^p moves the germ off that
+degenerate edge; ``newton_polygon`` reports (r, p) for it.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from fractions import Fraction
+from math import comb, gcd
 from typing import NamedTuple, Optional
 
 from .polynomials import Polynomial
@@ -32,6 +36,16 @@ class Newton(NamedTuple):
 
 def newton_number(f: Polynomial) -> Optional[Newton]:
     """nu and whether f is Newton non-degenerate; None unless f is convenient."""
+    polygon = newton_polygon(f)
+    return None if polygon is None else polygon[0]
+
+
+def newton_polygon(f: Polynomial) -> Optional[tuple[Newton, Optional[tuple[Fraction, int]]]]:
+    """``newton_number(f)`` and the shift (r, p) of a single power edge; None unless convenient.
+
+    The shift is None unless the lower boundary is one edge from (0, m) to
+    (pm, 0), m >= 2, whose edge polynomial is e0 (y + r x^p)^m.
+    """
     support = dict(f._integer_form()[1])
     a = min((i for i, j in support if j == 0 and i), default=None)
     b = min((j for i, j in support if i == 0 and j), default=None)
@@ -54,7 +68,13 @@ def newton_number(f: Polynomial) -> Optional[Newton]:
         p, q = (i1 - i0) // steps, (j0 - j1) // steps
         edge = [support.get((i0 + k * p, j0 - k * q), 0) for k in range(steps + 1)]
         non_degenerate = non_degenerate and _squarefree(edge)
-    return Newton(twice_area - a - b + 1, non_degenerate)
+    # one edge of b > 1 unit steps (p, 1): c_k = c_0 C(b, k) r^k, r = c_1 / (b c_0)
+    shift = None
+    if len(hull) == 2 and q == 1 < b:
+        c0, c1 = edge[0], edge[1]
+        if all(c * (b * c0) ** k == c0 * comb(b, k) * c1**k for k, c in enumerate(edge)):
+            shift = Fraction(c1, b * c0), p
+    return Newton(twice_area - a - b + 1, non_degenerate), shift
 
 
 def _turn(o: tuple[int, int], u: tuple[int, int], v: tuple[int, int]) -> int:

@@ -267,11 +267,12 @@ class Polynomial:
         """(L, pairs (exponent, a)) as stored: each coefficient is a / L, L the lcm denominator."""
         return self._den, self._terms.items()
 
-    def _shear(self, t: Fraction) -> "Polynomial":
-        """f(x, t*x + y), equal to ``substitute_linear(((1, 0), (t, 1)))``.
+    def _shear(self, t: Fraction, power: int = 1) -> "Polynomial":
+        """f(x, t*x^power + y); at power 1, ``substitute_linear(((1, 0), (t, 1)))``.
 
-        With t = p/q, J = deg_y f and coefficients a_ij / L, each term is an integer
-        sum of a_ij C(j, k) p^k q^(J - k) over L q^J, reduced by one gcd.
+        With t = p/q, J = deg_y f and coefficients a_ij / L, the term a_ij x^i y^j
+        adds a_ij C(j, k) p^k q^(J - k) over L q^J at x^(i + k*power) y^(j - k),
+        an integer sum reduced by one gcd.
         """
         if t == 0:
             return self
@@ -281,7 +282,7 @@ class Polynomial:
         acc: dict[Exponent, int] = {}
         for (i, j), a in self._terms.items():
             for k in range(j + 1):
-                key = (i + k, j - k)
+                key = (i + k * power, j - k)
                 acc[key] = acc.get(key, 0) + a * comb(j, k) * weights[k]
         return Polynomial._raw({key: v for key, v in acc.items() if v}, self._den * q**top)
 

@@ -1,6 +1,7 @@
 """Tests for invariant reports, the blowup laws, and the bound checks."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,15 @@ from germlab.invariants import (
     ratio_check,
     resolution_law_checks,
     theorem_verify,
+    verify_branch,
 )
-from germlab.polynomials import Polynomial, parse_polynomial
-from germlab.resolution import PuiseuxCharacteristic
+from germlab.localalg import colength_oracle
+from germlab.polynomials import Polynomial, X, Y, parse_polynomial
+from germlab.resolution import (
+    PuiseuxCharacteristic,
+    expected_sequence_from_characteristic,
+    strict_transform_once,
+)
 
 
 # -- reports -------------------------------------------------------------
@@ -230,6 +237,35 @@ def test_theorem_chain_shape():
         assert chain[-1] == 0
         assert all(v < 0 for v in chain[:-1])
         assert all(u < v for u, v in zip(chain, chain[1:]))
+
+
+def test_verify_branch_answers_the_two_pair_branch_of_five_cusps():
+    # (y^2 - x^3)^5 - x^16 has characteristic (10; 15, 17). Its first strict
+    # transform aligns to the degenerate edge (y + r x^2)^5; mu's completion
+    # ran uncut for seconds there before the shift y -> y - r x^2
+    f = (Y**2 - X**3) ** 5 - X**16
+    sequence = expected_sequence_from_characteristic(PuiseuxCharacteristic(10, (15, 17)))
+
+    def expire(signum, frame):
+        raise TimeoutError("verify_branch gave no answer within 2 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        report, checks, chain = verify_branch(f)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (report.milnor, report.tjurina) == (134, 123)
+    assert report.milnor == sum(m * (m - 1) for m in sequence)
+    assert [check.multiplicity for check in checks] == sequence == [10, 5, 5, 2, 2]
+    assert all(check.all_ok for check in checks)
+    assert chain == [-90, -32, -16, -4, -2, 0]
+    first = strict_transform_once(f).strict_transform
+    assert (checks[1].mu_before, checks[1].tau_before) == (44, 41) == (
+        colength_oracle(first.partials(), 18),
+        colength_oracle([first, *first.partials()], 18),
+    )
 
 
 def test_theorem_verify_rejects_reducible():

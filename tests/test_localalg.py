@@ -18,7 +18,7 @@ from germlab.errors import (
 )
 from germlab.cli import _parse_corpus, _read_corpus_text, main
 from germlab.invariants import germ_report
-from germlab.newton import newton_number
+from germlab.newton import newton_number, newton_polygon
 from germlab.localalg import (
     INFINITE,
     UNSTABLE,
@@ -40,7 +40,7 @@ from germlab.localalg import (
     standard_basis,
     tjurina_number,
 )
-from germlab.polynomials import ONE, Polynomial, X, Y, parse_polynomial
+from germlab.polynomials import ONE, ZERO, Polynomial, X, Y, parse_polynomial
 from germlab.resolution import mu_topological, resolve_branch
 
 
@@ -1019,14 +1019,18 @@ def test_germs_that_answer_under_the_nu_cut(capsys, f, mu, tau):
     _answers(capsys, f, mu, tau)
 
 
-# tjurina_number completed these Tjurina ideals uncut and ran past 4 s on
-# each; mu's route cuts them at nu + 1, and each answers in milliseconds
+# tjurina_number completed these Tjurina ideals uncut and ran past 3 s on
+# each; mu's route cuts them at nu + 1, and each answers in milliseconds.
+# The qh_2_5 draws are degenerate until one shift y -> y - r x^2 moves them
+# onto x^5 + y^2 + ...
 TJURINA_UNDER_THE_NU_CUT = {
     "semi-qh hang": 21,
     "E": 24,
     "six-term product": 15,
     "red_4_3@aut(1,-1,-1,1)": 9,
     "red_4_3@aut(-2,1,3,-3)": 9,
+    "qh_2_5@aut(1,-2,2,1)": 4,
+    "qh_2_5@aut(-1,1,1,-2)": 4,
 }
 
 
@@ -1175,12 +1179,103 @@ def test_a_wrong_newton_number_leaves_mu_and_tau(monkeypatch, family, shift):
         expected = [milnor_tjurina(f) for f in germs]
 
     def wrong(g):
-        newton = newton_number(g)
-        if newton is None:
+        polygon = newton_polygon(g)
+        if polygon is None:
             return None
+        newton, edge_shift = polygon
         number = 1 if shift == "one" else newton.number + shift
-        return newton._replace(number=number)
+        return newton._replace(number=number), edge_shift
 
-    monkeypatch.setattr(localalg, "newton_number", wrong)
+    monkeypatch.setattr(localalg, "newton_polygon", wrong)
     with _time_limit(8.0):
         assert [milnor_tjurina(f) for f in germs] == expected
+
+
+# -- Newton non-degenerate coordinates --------------------------------------
+
+SHIFT_COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
+
+
+def _shift_draws():
+    """(germ, mu) for 96 germs of known mu = tau, with seeded coefficients.
+
+    The bases are x^a + y^b for coprime 2 <= a, b <= 7, and x^a + y^a + x^k y^k
+    for a = 3, 4, k = a // 2 + 1, whose x^k y^k lies in the Jacobian ideal of
+    x^a + y^a. Each is composed with (x, y + c x^p), p = 2, 3, 4, and with
+    the coords workload's (p x + c y^2, q y + d x^2).
+    """
+    rng = random.Random(20261020)
+    bases = [(f"qh_{a}_{b}", X**a + Y**b, (a - 1) * (b - 1))
+             for a in range(2, 8) for b in range(2, 8) if gcd(a, b) == 1]
+    bases += [(f"red_{a}_{a // 2 + 1}", X**a + Y**a + (X * Y) ** (a // 2 + 1), (a - 1) ** 2)
+              for a in (3, 4)]
+    draws = []
+    for name, base, mu in bases:
+        for power in (2, 3, 4):
+            c = rng.choice(SHIFT_COEFFICIENTS)
+            f = base.substitute(X, Y + c * X**power)
+            draws.append(pytest.param(f, mu, id=f"{name}@(x,y{c:+}x^{power})"))
+        p, q = rng.choice((1, -1, 2, -2)), rng.choice((1, -1, 2, -2))
+        c, d = rng.choice(SHIFT_COEFFICIENTS), rng.choice(SHIFT_COEFFICIENTS)
+        f = base.substitute(p * X + c * Y**2, q * Y + d * X**2)
+        draws.append(pytest.param(f, mu, id=f"{name}@aut({p},{q},{c},{d})"))
+    return draws
+
+
+@pytest.mark.parametrize("f,mu", _shift_draws())
+def test_mu_and_tau_survive_the_move_to_newton_coordinates(f, mu):
+    with _time_limit(4.0):
+        values = (milnor_number(f), tjurina_number(f), *milnor_tjurina(f))
+    assert values == (mu,) * 4
+    assert (_oracle(f.partials()), _oracle([f, *f.partials()])) == (mu, mu)
+
+
+@pytest.mark.parametrize("h", [[(2, 2)], [(2, 2), (1, 3)], [(2, 2), (-2, 3), (1, 5)]], ids=str)
+def test_the_shifts_undo_y_plus_a_polynomial_in_x(h):
+    # x^a + y^b, a > b, after (x, y + sum of c x^p): each shift removes the
+    # lowest term c x^p of the sum while x^a lies beyond the edge
+    # (y + c x^p)^b, that is while a > p b, and leaves the other terms
+    for b in range(2, 7):
+        for a in range(b + 1, 8):
+            base = X**a + Y**b
+            f = base.substitute(X, Y + sum((c * X**p for c, p in h), ZERO))
+            kept = sum((c * X**p for c, p in h if p * b >= a), ZERO)
+            assert localalg._newton_coordinates(f)[0] == base.substitute(X, Y + kept), (a, b)
+
+
+def test_the_shift_moves_the_qh_2_5_draws_and_no_two_pair_branch():
+    # the qh_2_5 draws align to e0 (y + r x^2)^2 + ...; the edges of A, F
+    # and (y^2 - x^3)^3 - x^11 are powers of y^2 - x^3, steps (3, 2)
+    qh_2_5 = [param.values[0] for param in _now_answering() if param.id.startswith("qh_2_5")]
+    assert len(qh_2_5) == 10
+    for f in qh_2_5:
+        g, newton = localalg._newton_coordinates(f)
+        assert g != f.aligned()[0] and newton == (4, True), str(f)
+    for f in [GERM_A, GERM_F, (Y**2 - X**3) ** 3 - X**11]:
+        g = f.aligned()[0]
+        assert localalg._newton_coordinates(f) == (g, newton_number(g)), str(f)
+
+
+def test_the_shift_loop_stops_on_a_non_isolated_germ(monkeypatch, capsys):
+    # ((1 - x) y - x^2)^2 has the double root y = x^2 / (1 - x), a series:
+    # every shift leaves the edge (y - x^p)^2 with nu = 2p - 1, and the loop
+    # stops once nu reaches (d - 1)^2 = 9, after three shifts
+    f = (Y - X * Y - X**2) ** 2
+    seen = []
+
+    def recording(g):
+        polygon = newton_polygon(g)
+        seen.append(polygon)
+        return polygon
+
+    monkeypatch.setattr(localalg, "newton_polygon", recording)
+    for function in (milnor_number, tjurina_number, milnor_tjurina):
+        seen.clear()
+        with _time_limit(2.0), pytest.raises(NonIsolatedSingularityError):
+            function(f)
+        assert [(newton.number, shift) for newton, shift in seen] == [
+            (2 * p - 1, (-1, p)) for p in (2, 3, 4, 5)
+        ]
+    with _time_limit(2.0):
+        assert main(["analyze", str(f)]) == 2
+    assert "NonIsolatedSingularityError" in capsys.readouterr().err

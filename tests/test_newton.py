@@ -1,10 +1,11 @@
 """Tests for the Newton number and the non-degeneracy test of its edges."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from germlab.newton import _squarefree, newton_number
+from germlab.newton import _squarefree, newton_number, newton_polygon
 from germlab.polynomials import X, Y, parse_polynomial
 
 
@@ -42,6 +43,22 @@ def test_a_germ_without_both_pure_powers_is_not_convenient(text):
 )
 def test_an_edge_with_a_repeated_root_is_degenerate(text, nu):
     assert newton_number(parse_polynomial(text)) == (nu, False)
+
+
+@pytest.mark.parametrize(
+    "text,shift",
+    [
+        ("y^2 - 2 x^2*y + x^4 + x^5", (Fraction(-1), 2)),  # (y - x^2)^2 + x^5
+        ("4 y^3 + 6 x^3*y^2 + 3 x^6*y + 1/2 x^9 + x^10", (Fraction(1, 2), 3)),  # 4 (y + x^3/2)^3
+        ("y^4 - 2 x^3*y^2 + x^6 + x^7", None),  # (y^2 - x^3)^2: steps (3, 2), no shift
+        ("y^3 - 3 x^2*y^2 + 3 x^4*y - x^6 + x^3*y", None),  # (y - x^2)^3 + x^3 y: two edges
+        ("y^2 - 2 x^2*y + 2 x^4", None),  # an edge with simple roots
+        ("y + x^3", None),  # smooth: m = 1
+    ],
+)
+def test_a_single_power_edge_reports_its_shift(text, shift):
+    f = parse_polynomial(text)
+    assert newton_polygon(f) == (newton_number(f), shift)
 
 
 def test_squarefree_matches_the_roots_of_products_of_factors():

@@ -488,6 +488,16 @@ def test_integer_shear_is_the_linear_substitution(t):
         _assert_shear_is_the_linear_substitution(p, t)
 
 
+@pytest.mark.parametrize("power", [2, 3, 5])
+def test_shear_by_a_power_of_x_is_the_substitution(power):
+    rng = random.Random(776)
+    for p in [_random_poly(rng, max_terms=8, max_deg=7) for _ in range(30)] + [ZERO, ONE]:
+        for t in (Fraction(3, 7), Fraction(-2)):
+            want = p.substitute(X, Y + t * X**power)
+            assert p._shear(t, power) == want
+            assert str(p._shear(t, power)) == str(want)
+
+
 def test_align_tangent_short_circuits():
     p = parse_polynomial("y^2 - 3 x^3 + 1/2 x*y")
     assert p.align_tangent(Slope(Fraction(0))) is p
