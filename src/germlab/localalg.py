@@ -13,19 +13,19 @@ Two independent colength computations live here on purpose:
   completion skips pairs whose leading monomials are coprime, a pure power
   of x against a pure power of y, because two such generators share no
   tangent and so already form a standard basis of the ideal they span;
-  mu and ``tjurina_number``'s tau take one route, ``_colength``: on a
-  convenient, Newton non-degenerate germ the ideal is completed modulo
-  m^(nu+1), nu the Newton number, and kept only when its own highest corner
-  proves the cut harmless, and every other germ gets the uncut
-  ``standard_basis``; before that, ``_newton_coordinates`` moves a germ
-  whose Newton boundary is the single edge e0 (y + r x^p)^m by
-  y -> y - r x^p, so one that is degenerate only in its coordinates takes
-  the cut, while an edge that is a power of y^2 - x^3 has no such shift and
-  stays uncut; ``milnor_tjurina`` gets tau by extending mu's
-  standard basis with f instead, and drops every term at or above the
-  highest corner D of that basis (m^D lies in the Jacobian ideal), so each
-  normal form of the extension ends within D(D+1)/2 steps; the public
-  ``standard_basis`` and the oracle are never cut;
+  mu takes one route, ``_colength``: on a convenient, Newton non-degenerate
+  germ the Jacobian ideal is completed modulo m^(nu+1), nu the Newton number,
+  and kept only when its own highest corner proves the cut harmless, and
+  every other germ gets the uncut ``standard_basis``; before that,
+  ``_newton_coordinates`` moves a germ whose Newton boundary is the single
+  edge e0 (y + r x^p)^m by y -> y - r x^p, so one that is degenerate only in
+  its coordinates takes the cut, while an edge that is a power of y^2 - x^3
+  has no such shift and stays uncut; tau, in ``_tjurina``, extends mu's basis
+  with f and drops every term at or above its highest corner D (m^D lies in
+  the Jacobian ideal), so each normal form of the extension ends within
+  D(D+1)/2 steps; ``tjurina_number`` takes that route wherever mu's
+  completion is cut, and elsewhere completes the Tjurina ideal uncut; the
+  public ``standard_basis`` and the oracle are never cut;
 * ``colength_oracle`` computes the codimension of a degree-truncated ideal by
   integer Gaussian elimination, certifying exactness via stability at two
   consecutive caps.
@@ -412,16 +412,16 @@ def _highest_corner(heights: list[int]) -> int:
 def _colength(
     generators: Sequence[Polynomial], newton: Optional[Newton]
 ) -> tuple[list[PoolEntry], list[int]]:
-    """Minimal standard basis and column heights of the ideal I of the generators.
+    """Minimal standard basis and column heights of the ideal of the generators.
 
-    I is the Jacobian or the Tjurina ideal of a germ g whose Newton data is
-    ``newton``, so it contains the Jacobian ideal J. When g is convenient and
-    Newton non-degenerate, mu = nu (Kouchnirenko) and m^nu lies in J, hence in
-    I, so the generators are first completed modulo m^c, c = nu + 1. The
+    Only the Jacobian ideal J of a germ g is ever cut: the generators are
+    g's partials and ``newton``, g's Newton data, says g is convenient and
+    Newton non-degenerate. Then mu = nu (Kouchnirenko) and m^nu lies in J,
+    so the generators are first completed modulo m^c, c = nu + 1. The
     result is kept only when its leading exponents hold both pure powers with
-    highest corner D < c: then m^D lies in I + m^c, inside I + m^(D+1), and
-    Nakayama gives m^D in I, so the cut staircase is I's own whatever nu is.
-    Every other germ, and a cut that fails the check, gets the uncut
+    highest corner D < c: then m^D lies in J + m^c, inside J + m^(D+1), and
+    Nakayama gives m^D in J, so the cut staircase is J's own whatever nu is.
+    Every other ideal or germ, and a cut that fails the check, gets the uncut
     ``standard_basis``. ``_newton_coordinates`` has already moved g off a
     single degenerate edge e0 (y + r x^p)^m; a degenerate germ left, such as
     one whose edge is a power of y^2 - x^3, is completed uncut.
@@ -480,28 +480,36 @@ def milnor_number(f: Polynomial) -> int:
 
 
 def tjurina_number(f: Polynomial) -> int:
-    """Colength of the ideal of f and both partial derivatives, by mu's route."""
+    """Colength of (f, f_x, f_y): ``milnor_tjurina``'s tau wherever ``_colength`` cuts mu.
+
+    Elsewhere the Tjurina ideal is completed uncut; germ A's Jacobian one does not end.
+    """
     g, newton = _newton_coordinates(f)
-    return sum(_colength([g, *g.partials()], newton)[1])
+    if newton is not None and newton.non_degenerate:
+        return _tjurina(g, *_colength(g.partials(), newton))
+    return sum(_colength([g, *g.partials()], None)[1])
 
 
 def milnor_tjurina(f: Polynomial) -> tuple[int, int]:
-    """(milnor_number(f), tjurina_number(f)) from one completion.
-
-    The Tjurina ideal is the Jacobian ideal J plus f, so tau extends the
-    minimal entries of J's standard basis by the Mora normal form of f and
-    completes only the pairs with that new entry; f in J (the
-    quasi-homogeneous germs) gives tau = mu at once. The highest corner D of
-    J's basis gives m^D in J, so the extension works modulo m^D: it drops
-    every term of degree D or more, and tau is the colength of its leading
-    exponents together with the degree-D monomials. Each reduction step
-    strictly lowers the leading monomial, and fewer than D(D+1)/2 monomials
-    lie below degree D, so every normal form of the extension ends within
-    that many steps.
-    """
+    """(milnor_number(f), tjurina_number(f)) from one completion, tau by ``_tjurina``."""
     g, newton = _newton_coordinates(f)
     jacobian, heights = _colength(g.partials(), newton)
-    mu = sum(heights)
+    return sum(heights), _tjurina(g, jacobian, heights)
+
+
+def _tjurina(g: Polynomial, jacobian: list[PoolEntry], heights: list[int]) -> int:
+    """tau of g from the minimal standard basis and column heights of its Jacobian ideal J.
+
+    The Tjurina ideal is J plus g, so tau extends J's basis by the Mora
+    normal form of g and completes only the pairs with that new entry; g in
+    J (the quasi-homogeneous germs) gives tau = mu at once. The highest
+    corner D of J's basis gives m^D in J, so the extension works modulo
+    m^D: it drops every term of degree D or more, and tau is the colength
+    of its leading exponents together with the degree-D monomials. Each
+    reduction step strictly lowers the leading monomial, and fewer than
+    D(D+1)/2 monomials lie below degree D, so every normal form of the
+    extension ends within that many steps.
+    """
     corner = _highest_corner(heights)
     cut = _encode((corner, 0))
     pool = [entry for e in jacobian if (entry := _truncated(e, cut))]
@@ -509,9 +517,9 @@ def milnor_tjurina(f: Polynomial) -> tuple[int, int]:
     # with no term below the cut, g lies in m^D and so in J
     remainder, lead = _mora_normal_form(h[0], h[1], pool, cut) if h else ({}, None)
     if not remainder:
-        return mu, mu
+        return sum(heights)
     pool.append(_pool_entry(remainder, lead))
     _complete(pool, len(pool) - 1, cut)
     leads = {(entry[2], entry[3]) for entry in pool}
     leads.update((i, corner - i) for i in range(corner + 1))
-    return mu, sum(_column_heights(leads))
+    return sum(_column_heights(leads))

@@ -21,10 +21,10 @@ degenerate edge; ``newton_polygon`` reports (r, p) for it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from typing import NamedTuple, Optional
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _power_root
 
 
 class Newton(NamedTuple):
@@ -68,13 +68,9 @@ def newton_polygon(f: Polynomial) -> Optional[tuple[Newton, Optional[tuple[Fract
         p, q = (i1 - i0) // steps, (j0 - j1) // steps
         edge = [support.get((i0 + k * p, j0 - k * q), 0) for k in range(steps + 1)]
         non_degenerate = non_degenerate and _squarefree(edge)
-    # one edge of b > 1 unit steps (p, 1): c_k = c_0 C(b, k) r^k, r = c_1 / (b c_0)
-    shift = None
-    if len(hull) == 2 and q == 1 < b:
-        c0, c1 = edge[0], edge[1]
-        if all(c * (b * c0) ** k == c0 * comb(b, k) * c1**k for k, c in enumerate(edge)):
-            shift = Fraction(c1, b * c0), p
-    return Newton(twice_area - a - b + 1, non_degenerate), shift
+    # one edge of b > 1 unit steps (p, 1) whose polynomial is c_0 (1 + r t)^b
+    r = _power_root(edge) if len(hull) == 2 and q == 1 < b else None
+    return Newton(twice_area - a - b + 1, non_degenerate), None if r is None else (r, p)
 
 
 def _turn(o: tuple[int, int], u: tuple[int, int], v: tuple[int, int]) -> int:

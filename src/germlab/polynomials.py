@@ -55,6 +55,14 @@ VERTICAL = Vertical()
 Direction = Union[Slope, Vertical]
 
 
+def _power_root(c: list[int]) -> Optional[Fraction]:
+    """r = c_1 / (m c_0) when sum c_k t^k = c_0 (1 + r t)^m, m = len(c) - 1 >= 1; else None."""
+    m, c0, c1 = len(c) - 1, c[0], c[1]
+    # c_0 != 0; coefficientwise the identity reads c_k (m c_0)^k = c_0 C(m, k) c_1^k
+    power = all(ck * (m * c0) ** k == c0 * comb(m, k) * c1**k for k, ck in enumerate(c))
+    return Fraction(c1, m * c0) if power else None
+
+
 class Polynomial:
     """A polynomial in x and y with exact rational coefficients.
 
@@ -126,21 +134,17 @@ class Polynomial:
 
         The initial form must be c * l^m, l = x if y^m is missing, else y - t*x.
         With c_i the numerator of x^i y^(m-i), x = 0 needs x^m as its only term,
-        and c_0 * (y - t*x)^m with t = -c_1 / (m c_0) needs
-        c_i (m c_0)^i = c_0 C(m, i) c_1^i for every i <= m.
+        and c_0 * (y - t*x)^m needs ``_power_root`` of c_0, ..., c_m to give r = -t.
         A nonzero constant term raises ``require_germ``'s NotAGermError.
         """
         m = self.order()
         if not m:
             self.require_germ()
         init = {i: a for (i, j), a in self._terms.items() if i + j == m}
-        top = init.get(0)
-        if top is None:
+        if 0 not in init:
             return VERTICAL if init.keys() == {m} else None
-        c1, scale = init.get(1, 0), m * top
-        if all(init.get(i, 0) * scale**i == top * comb(m, i) * c1**i for i in range(m + 1)):
-            return Slope(Fraction(-c1, scale))
-        return None
+        r = _power_root([init.get(i, 0) for i in range(m + 1)])
+        return None if r is None else Slope(-r)
 
     def partials(self) -> tuple["Polynomial", "Polynomial"]:
         """Both first partial derivatives, x first."""

@@ -47,8 +47,14 @@ class BlowupStep:
     strict_transform: Polynomial
 
 
-def _blowup(aligned: Polynomial, direction: Direction, m: int) -> BlowupStep:
-    """The blowup at ``direction`` of a germ of multiplicity m, already aligned."""
+def _blowup(
+    aligned: Polynomial, direction: Optional[Direction], m: int, stage: int
+) -> BlowupStep:
+    """The blowup at ``direction`` of an aligned germ of multiplicity m; a split cone raises."""
+    if direction is None:
+        raise NotABranchError(
+            f"tangent cone splits at stage {stage}; the germ is not a branch", stage=stage
+        )
     chart = "y" if isinstance(direction, Vertical) else "x"
     # (i, j) -> (i + j - m, j) is injective and every degree is >= m: no checks needed
     den, numerators = aligned._integer_form()
@@ -66,11 +72,7 @@ def strict_transform_once(f: Polynomial) -> BlowupStep:
     aligned, direction, m = f.aligned()
     if m < 2:
         raise NotSingularError("the germ is smooth; nothing to blow up")
-    if direction is None:
-        raise NotABranchError(
-            "tangent cone splits at stage 0; the germ is not a branch", stage=0
-        )
-    return _blowup(aligned, direction, m)
+    return _blowup(aligned, direction, m, 0)
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,7 @@ def _aligned_stages(f: Polynomial) -> Iterator[Stage]:
             raise NonIsolatedSingularityError(
                 f"not smooth after {budget} blowups; the germ is not reduced"
             )
-        if direction is None:
-            raise NotABranchError(
-                f"tangent cone splits at stage {stage}; the germ is not a branch",
-                stage=stage,
-            )
-        step = _blowup(aligned, direction, m)
+        step = _blowup(aligned, direction, m, stage)
         aligned, direction, m = step.strict_transform.aligned()
 
 

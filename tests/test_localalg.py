@@ -1020,11 +1020,14 @@ def test_germs_that_answer_under_the_nu_cut(capsys, f, mu, tau):
 
 
 # tjurina_number completed these Tjurina ideals uncut and ran past 3 s on
-# each; mu's route cuts them at nu + 1, and each answers in milliseconds.
+# each; it now takes milnor_tjurina's route, mu's completion cut at nu + 1
+# and then tau's extension below mu's highest corner, and each answers in
+# milliseconds. C still ran past 30 s with its Tjurina ideal cut at nu + 1.
 # The qh_2_5 draws are degenerate until one shift y -> y - r x^2 moves them
 # onto x^5 + y^2 + ...
 TJURINA_UNDER_THE_NU_CUT = {
     "semi-qh hang": 21,
+    "C": 60,
     "E": 24,
     "six-term product": 15,
     "red_4_3@aut(1,-1,-1,1)": 9,
@@ -1060,8 +1063,7 @@ def test_tjurina_number_takes_mu_s_route(f, tau):
 def test_every_cut_normal_form_ends_within_the_corner_bound(monkeypatch, family):
     # under a cut at degree c each step lowers the lead among the c(c+1)/2
     # monomials of degree below c; nothing else bounds the steps. mu's
-    # completion and tjurina_number's are cut at nu + 1, tau's extension at
-    # the highest corner
+    # completion is cut at nu + 1, tau's extension at the highest corner
     steps, calls = 0, []
     reduce_leading, normal_form = localalg._reduce_leading, localalg._mora_normal_form
 
@@ -1082,16 +1084,14 @@ def test_every_cut_normal_form_ends_within_the_corner_bound(monkeypatch, family)
     monkeypatch.setattr(localalg, "_mora_normal_form", recording)
     both = (milnor_tjurina, tjurina_number)
     if family == "C and D":
-        germ_c, germ_d = (param.values[0] for param in _now_answering()[:2])
-        # tjurina_number runs past 30 s on C, cut at nu + 1 or not
-        runs = [(germ_c, (milnor_tjurina,)), (germ_d, both)]
+        runs = [param.values[0] for param in _now_answering()[:2]]
     else:
-        runs = [(f, both) for f in _certificate_germs(family)]
+        runs = _certificate_germs(family)
     kinds = {function: set() for function in both}
-    for f, functions in runs:
+    for f in runs:
         corner, _ = _jacobian_corner(f)
         nu = newton_number(f.aligned()[0]).number
-        for function in functions:
+        for function in both:
             calls.clear()
             with _time_limit(4.0):
                 function(f)
@@ -1103,8 +1103,8 @@ def test_every_cut_normal_form_ends_within_the_corner_bound(monkeypatch, family)
                 kinds[function].add("corner" if c == corner else "nu")
     # mu's completion on C and D forms only coprime pairs, so no normal form
     assert kinds[milnor_tjurina] == ({"corner"} if family == "C and D" else {"corner", "nu"})
-    # tjurina_number extends nothing: its one cut is nu + 1
-    assert kinds[tjurina_number] == {"nu"}
+    # tjurina_number takes milnor_tjurina's cuts, never its own at nu + 1
+    assert kinds[tjurina_number] == kinds[milnor_tjurina]
 
 
 # -- the Newton number: a third mu pipeline ---------------------------------
