@@ -35,8 +35,7 @@ class InvariantReport:
     """Everything computed about one germ in one place.
 
     The branch-only fields (delta, characteristic, multiplicity_sequence)
-    are None for germs with several branches; ratio_ok is None for smooth
-    germs, where the ratio is undefined.
+    are None for germs with several branches.
     """
 
     input: Polynomial
@@ -49,7 +48,6 @@ class InvariantReport:
     delta: Optional[int]
     characteristic: Optional[PuiseuxCharacteristic]
     multiplicity_sequence: Optional[tuple[int, ...]]
-    ratio_ok: Optional[bool]
 
 
 def _report_and_stages(
@@ -80,7 +78,6 @@ def _report_and_stages(
         delta=delta_from_sequence(sequence) if is_branch else None,
         characteristic=characteristic_from_sequence(sequence) if is_branch else None,
         multiplicity_sequence=sequence.multiplicity_sequence if is_branch else None,
-        ratio_ok=(3 * mu < 4 * tau) if mu >= 1 else None,
     )
     return report, resolved
 

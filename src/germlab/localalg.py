@@ -10,38 +10,41 @@ Two independent colength computations live here on purpose:
 
 * ``standard_basis`` + ``colength`` count the staircase of the leading ideal
   computed by Mora's tangent cone algorithm (exact, complete); the
-  completion skips pairs whose leading monomials are coprime, a pure power
-  of x against a pure power of y, because two such generators share no
-  tangent and so already form a standard basis of the ideal they span;
-  mu takes one route, ``_colength``: on a convenient, Newton non-degenerate
-  germ the Jacobian ideal is completed modulo m^(nu+1), nu the Newton number,
-  and kept only when its own highest corner proves the cut harmless, and
-  every other germ gets the uncut ``standard_basis``; before that,
-  ``_newton_coordinates`` moves a germ whose Newton boundary is the single
-  edge e0 (y + r x^p)^m by y -> y - r x^p, so one that is degenerate only in
-  its coordinates takes the cut, while an edge that is a power of y^2 - x^3
-  has no such shift and stays uncut; tau, in ``_tjurina``, extends mu's basis
-  with f and drops every term at or above its highest corner D (m^D lies in
-  the Jacobian ideal), so each normal form of the extension ends within
-  D(D+1)/2 steps; ``tjurina_number`` takes that route wherever mu's
-  completion is cut, and elsewhere completes the Tjurina ideal uncut; the
-  public ``standard_basis`` and the oracle are never cut;
+  completion skips pairs whose leading monomials are coprime (``_complete``
+  proves why);
 * ``colength_oracle`` computes the codimension of a degree-truncated ideal by
   integer Gaussian elimination, certifying exactness via stability at two
   consecutive caps.
 
-They share only the input format: ``Polynomial._integer_form`` reads the
-integer numerators a polynomial stores, ``_encode`` codes monomials as
-integers in the local order, and ``_normalized`` divides out the content and
-makes the leading coefficient positive. The oracle never calls Mora's
-reduction, normal form or completion, so a fault there cannot cancel out in
-the cross-check. Its codimension is a rank, which no pivot order changes: it
+They share only the input format: ``_codes`` reads the integer numerators a
+polynomial stores, keyed by ``_encode``'s integer codes of the monomials in
+the local order, and ``_normalized`` divides out the content and makes the
+leading coefficient positive. The oracle never calls Mora's reduction,
+normal form or completion, so a fault there cannot cancel out in the
+cross-check. Its codimension is a rank, which no pivot order changes: it
 needs the codes only injective, additive and ordered by degree (pinned up to
 degree 600), and pivots in the local order only because that keeps the
 elimination sparse.
 
-Mu and tau run on the germ as ``Polynomial.aligned`` returns it; that keeps both
-colengths, and Mora avoids long cancellation chains when the initial form is y^m.
+The route of mu and tau, shared by ``milnor_number``, ``tjurina_number`` and
+``milnor_tjurina``:
+
+1. ``_newton_coordinates`` takes the germ as ``Polynomial.aligned`` returns
+   it (Mora avoids long cancellation chains when the initial form is y^m),
+   moves it off a single degenerate Newton edge e0 (y + r x^p)^m by
+   y -> y - r x^p, and returns the cut nu + 1 when the result g is
+   convenient and Newton non-degenerate. An edge that is a power of
+   y^2 - x^3 has no such shift, so a germ on one gets no cut.
+2. ``_colength`` gives mu: it completes g's Jacobian ideal modulo the cut
+   and keeps the result only when its own highest corner proves the cut
+   harmless; otherwise it completes the ideal uncut.
+3. ``_tjurina`` gives tau: it extends mu's minimal basis by g modulo m^D,
+   D the highest corner of that basis. Without a cut, ``tjurina_number``
+   instead completes the Tjurina ideal uncut, since germs such as
+   ((y^2 - x^3)^2 - x^7)^2 - x^17 y answer tau that way while mu's
+   completion does not end.
+
+The public ``standard_basis`` and the oracle are never cut.
 """
 
 from __future__ import annotations
@@ -52,22 +55,14 @@ from math import gcd
 from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import NonIsolatedSingularityError, ZeroIdealError
-from .newton import Newton, newton_polygon
-from .polynomials import ONE, Polynomial
-
-Exponent = tuple[int, int]
+from .newton import newton_polygon
+from .polynomials import ONE, Exponent, Polynomial
 
 #: Sentinel returned by ``colength`` for ideals of infinite colength.
 INFINITE = object()
 
 #: Sentinel returned by ``colength_oracle`` when truncation did not stabilize.
 UNSTABLE = object()
-
-
-def _order_key(mono: Exponent) -> tuple[int, int]:
-    # smaller key = larger monomial in the local order
-    i, j = mono
-    return (i + j, -i)
 
 
 # -- integer monomial codes, shared by both pipelines ------------------------
@@ -96,6 +91,11 @@ def _decode(code: int) -> Exponent:
     d = _degree(code)
     i = (d << _SHIFT) - code
     return (i, d - i)
+
+
+def _codes(p: Polynomial) -> CodeTerms:
+    """The integer numerators of p, keyed by monomial code."""
+    return {_encode(k): a for k, a in p._integer_form()[1]}
 
 
 def _normalized(terms: CodeTerms) -> tuple[CodeTerms, int | None]:
@@ -136,7 +136,7 @@ def _truncated_codimension(polys: Sequence[Polynomial], cap: int) -> int:
     cut = _encode((cap + 1, 0))
     pivots: dict[int, CodeTerms] = {}
     for p in polys:
-        base = {_encode(k): a for k, a in p._integer_form()[1]}
+        base = _codes(p)
         for d in range(cap - _degree(min(base)) + 1):
             for mi in range(d, -1, -1):
                 shift = _encode((mi, d - mi))
@@ -268,15 +268,9 @@ def _s_polynomial(
     return _reduce_leading(moved, lcm, g_terms, g_lead, cut)
 
 
-def _entry(p: Polynomial, cut: int = _NO_CUT) -> PoolEntry | None:
-    """The pool entry of p without its terms at or above the cut; None if none remain."""
-    terms, lead = _normalized({c: a for k, a in p._integer_form()[1] if (c := _encode(k)) < cut})
-    return None if lead is None else _pool_entry(terms, lead)
-
-
-def _truncated(entry: PoolEntry, cut: int) -> PoolEntry | None:
-    """The entry without its terms at or above the cut; None if none remain."""
-    terms, lead = _normalized({k: c for k, c in entry[0].items() if k < cut})
+def _entry(terms: CodeTerms, cut: int = _NO_CUT) -> PoolEntry | None:
+    """The pool entry of the terms below the cut; None if none remain."""
+    terms, lead = _normalized({k: c for k, c in terms.items() if k < cut})
     return None if lead is None else _pool_entry(terms, lead)
 
 
@@ -353,7 +347,7 @@ def standard_basis(generators: Iterable[Polynomial]) -> StandardBasis:
     S-polynomials are known to have standard representations (see
     ``_complete``).
     """
-    pool = [_entry(p) for p in generators if p]
+    pool = [_entry(_codes(p)) for p in generators if p]
     if not pool:
         raise ZeroIdealError("all generators are zero")
     # a unit generator spans the whole local ring; Mora reduction by a unit
@@ -410,45 +404,41 @@ def _highest_corner(heights: list[int]) -> int:
 
 
 def _colength(
-    generators: Sequence[Polynomial], newton: Optional[Newton]
+    generators: Sequence[Polynomial], cut: Optional[int]
 ) -> tuple[list[PoolEntry], list[int]]:
-    """Minimal standard basis and column heights of the ideal of the generators.
+    """Minimal standard basis and column heights of the ideal J of the generators.
 
-    Only the Jacobian ideal J of a germ g is ever cut: the generators are
-    g's partials and ``newton``, g's Newton data, says g is convenient and
-    Newton non-degenerate. Then mu = nu (Kouchnirenko) and m^nu lies in J,
-    so the generators are first completed modulo m^c, c = nu + 1. The
-    result is kept only when its leading exponents hold both pure powers with
-    highest corner D < c: then m^D lies in J + m^c, inside J + m^(D+1), and
-    Nakayama gives m^D in J, so the cut staircase is J's own whatever nu is.
-    Every other ideal or germ, and a cut that fails the check, gets the uncut
-    ``standard_basis``. ``_newton_coordinates`` has already moved g off a
-    single degenerate edge e0 (y + r x^p)^m; a degenerate germ left, such as
-    one whose edge is a power of y^2 - x^3, is completed uncut.
+    With a ``cut`` c the generators are first completed modulo m^c, and the
+    result is kept only when its leading exponents hold both pure powers
+    with highest corner D < c: then m^D lies in J + m^c, inside
+    J + m^(D+1), and Nakayama gives m^D in J, so the cut staircase is J's
+    own whatever c is. Otherwise the uncut ``standard_basis`` decides, and
+    an infinite colength raises NonIsolatedSingularityError.
     """
-    if newton is not None and newton.non_degenerate:
-        bound = newton.number + 1
-        cut = _encode((bound, 0))
-        pool = [entry for p in generators if (entry := _entry(p, cut))]
-        _complete(pool, 1, cut)
+    if cut is not None:
+        code = _encode((cut, 0))
+        pool = [entry for p in generators if (entry := _entry(_codes(p), code))]
+        _complete(pool, 1, code)
         heights = _column_heights([(entry[2], entry[3]) for entry in pool])
-        if heights is not None and _highest_corner(heights) < bound:
+        if heights is not None and _highest_corner(heights) < cut:
             return _minimal(pool), heights
     basis = standard_basis(generators)
     heights = _column_heights(basis.leading_exponents)
     if heights is None:
         raise NonIsolatedSingularityError("the critical locus is not isolated")
-    return [_entry(p) for p in basis.generators], heights
+    return [_entry(_codes(p)) for p in basis.generators], heights
 
 
-def _newton_coordinates(f: Polynomial) -> tuple[Polynomial, Optional[Newton]]:
-    """The aligned germ g of f after the shifts below, and its Newton data.
+def _newton_coordinates(f: Polynomial) -> tuple[Polynomial, Optional[int]]:
+    """The aligned germ g of f after the shifts below, and mu's cut nu + 1 or None.
+
+    The cut is nu + 1 exactly when g is convenient and Newton non-degenerate,
+    so that mu = nu (Kouchnirenko) and m^nu lies in the Jacobian ideal.
 
     While g is convenient, nu < (d - 1)^2 with d the degree of the aligned
     germ, and g's lower Newton boundary is the single edge from (0, m) to
     (pm, 0) with edge polynomial e0 (y + r x^p)^m, m >= 2, g(x, y - r x^p)
-    replaces g. That is an automorphism of Q[[x, y]], so mu and tau stay,
-    and no answer rests on nu: ``_colength`` checks every cut it takes.
+    replaces g. That is an automorphism of Q[[x, y]], so mu and tau stay.
 
     The loop ends. By Pick's theorem nu = 2I + B, with I the lattice points
     (i, j), i, j >= 1, strictly below the boundary and B those on it. The
@@ -461,39 +451,35 @@ def _newton_coordinates(f: Polynomial) -> tuple[Polynomial, Optional[Newton]]:
     shift would put nu past (d - 1)^2, while mu >= nu (Kouchnirenko, applied
     after adding a high power of x, which keeps a finite mu) and mu <= (d - 1)^2
     (local Bezout for g_x and g_y of degree d - 1) if mu is finite.
-    ``_colength`` then finds it so uncut.
     """
     g = f.aligned()[0]
     bound = (g.total_degree() - 1) ** 2
-    polygon = newton_polygon(g)
-    while polygon is not None and polygon[1] is not None and polygon[0].number < bound:
-        r, p = polygon[1]
+    newton = newton_polygon(g)
+    while newton is not None and newton.shift is not None and newton.number < bound:
+        r, p = newton.shift
         g = g._shear(-r, p)
-        polygon = newton_polygon(g)
-    return g, None if polygon is None else polygon[0]
+        newton = newton_polygon(g)
+    return g, (newton.number + 1 if newton is not None and newton.non_degenerate else None)
 
 
 def milnor_number(f: Polynomial) -> int:
     """Colength of the ideal of both partial derivatives; requires it finite."""
-    g, newton = _newton_coordinates(f)
-    return sum(_colength(g.partials(), newton)[1])
+    g, cut = _newton_coordinates(f)
+    return sum(_colength(g.partials(), cut)[1])
 
 
 def tjurina_number(f: Polynomial) -> int:
-    """Colength of (f, f_x, f_y): ``milnor_tjurina``'s tau wherever ``_colength`` cuts mu.
-
-    Elsewhere the Tjurina ideal is completed uncut; germ A's Jacobian one does not end.
-    """
-    g, newton = _newton_coordinates(f)
-    if newton is not None and newton.non_degenerate:
-        return _tjurina(g, *_colength(g.partials(), newton))
-    return sum(_colength([g, *g.partials()], None)[1])
+    """Colength of (f, f_x, f_y); requires it finite."""
+    g, cut = _newton_coordinates(f)
+    if cut is None:
+        return sum(_colength([g, *g.partials()], None)[1])
+    return _tjurina(g, *_colength(g.partials(), cut))
 
 
 def milnor_tjurina(f: Polynomial) -> tuple[int, int]:
-    """(milnor_number(f), tjurina_number(f)) from one completion, tau by ``_tjurina``."""
-    g, newton = _newton_coordinates(f)
-    jacobian, heights = _colength(g.partials(), newton)
+    """(milnor_number(f), tjurina_number(f)) from one completion of the Jacobian ideal."""
+    g, cut = _newton_coordinates(f)
+    jacobian, heights = _colength(g.partials(), cut)
     return sum(heights), _tjurina(g, jacobian, heights)
 
 
@@ -502,18 +488,17 @@ def _tjurina(g: Polynomial, jacobian: list[PoolEntry], heights: list[int]) -> in
 
     The Tjurina ideal is J plus g, so tau extends J's basis by the Mora
     normal form of g and completes only the pairs with that new entry; g in
-    J (the quasi-homogeneous germs) gives tau = mu at once. The highest
-    corner D of J's basis gives m^D in J, so the extension works modulo
-    m^D: it drops every term of degree D or more, and tau is the colength
-    of its leading exponents together with the degree-D monomials. Each
-    reduction step strictly lowers the leading monomial, and fewer than
-    D(D+1)/2 monomials lie below degree D, so every normal form of the
-    extension ends within that many steps.
+    J gives tau = mu at once. The highest corner D of J's basis gives m^D in
+    J, so the extension works modulo m^D, and tau is the colength of its
+    leading exponents together with the degree-D monomials. Each reduction
+    step strictly lowers the leading monomial, and fewer than D(D+1)/2
+    monomials lie below degree D, so every normal form of the extension ends
+    within that many steps.
     """
     corner = _highest_corner(heights)
     cut = _encode((corner, 0))
-    pool = [entry for e in jacobian if (entry := _truncated(e, cut))]
-    h = _entry(g, cut)
+    pool = [entry for e in jacobian if (entry := _entry(e[0], cut))]
+    h = _entry(_codes(g), cut)
     # with no term below the cut, g lies in m^D and so in J
     remainder, lead = _mora_normal_form(h[0], h[1], pool, cut) if h else ({}, None)
     if not remainder:

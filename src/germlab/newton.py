@@ -28,24 +28,19 @@ from .polynomials import Polynomial, _power_root
 
 
 class Newton(NamedTuple):
-    """The Newton number nu of a convenient germ and whether the germ is non-degenerate."""
+    """nu of a convenient germ, whether the germ is non-degenerate, and its power-edge shift.
+
+    ``shift`` is (r, p) when the lower boundary is the single edge from (0, m)
+    to (pm, 0), m >= 2, with edge polynomial e0 (y + r x^p)^m; None otherwise.
+    """
 
     number: int
     non_degenerate: bool
+    shift: Optional[tuple[Fraction, int]] = None
 
 
-def newton_number(f: Polynomial) -> Optional[Newton]:
-    """nu and whether f is Newton non-degenerate; None unless f is convenient."""
-    polygon = newton_polygon(f)
-    return None if polygon is None else polygon[0]
-
-
-def newton_polygon(f: Polynomial) -> Optional[tuple[Newton, Optional[tuple[Fraction, int]]]]:
-    """``newton_number(f)`` and the shift (r, p) of a single power edge; None unless convenient.
-
-    The shift is None unless the lower boundary is one edge from (0, m) to
-    (pm, 0), m >= 2, whose edge polynomial is e0 (y + r x^p)^m.
-    """
+def newton_polygon(f: Polynomial) -> Optional[Newton]:
+    """The Newton data of f; None unless f is convenient."""
     support = dict(f._integer_form()[1])
     a = min((i for i, j in support if j == 0 and i), default=None)
     b = min((j for i, j in support if i == 0 and j), default=None)
@@ -70,7 +65,7 @@ def newton_polygon(f: Polynomial) -> Optional[tuple[Newton, Optional[tuple[Fract
         non_degenerate = non_degenerate and _squarefree(edge)
     # one edge of b > 1 unit steps (p, 1) whose polynomial is c_0 (1 + r t)^b
     r = _power_root(edge) if len(hull) == 2 and q == 1 < b else None
-    return Newton(twice_area - a - b + 1, non_degenerate), None if r is None else (r, p)
+    return Newton(twice_area - a - b + 1, non_degenerate, None if r is None else (r, p))
 
 
 def _turn(o: tuple[int, int], u: tuple[int, int], v: tuple[int, int]) -> int:

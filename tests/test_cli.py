@@ -4,11 +4,11 @@ import hashlib
 import json
 import re
 import shlex
-import signal
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import time_limit
 
 import germlab
 from germlab import cli, compare, invariants, localalg, polynomials, resolution
@@ -197,17 +197,8 @@ def test_verify_table(capsys):
 def test_verify_answers_the_semi_quasihomogeneous_draw(capsys):
     # it hung on its first strict transform before mu's completion was cut
     text = "x^5 + 3 x^3*y^3 + y^7 + 2 x^4*y^4 + 2 x^3*y^6"
-
-    def expire(signum, frame):
-        raise TimeoutError("verify gave no answer within 4 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 4.0)
-    try:
+    with time_limit(4.0):
         code, out, _ = run(capsys, "verify", text, "--format", "json")
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 0
     payload = json.loads(out)
     assert payload["theorem_chain"] == [-12, -4, -2, 0]

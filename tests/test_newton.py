@@ -5,32 +5,32 @@ from fractions import Fraction
 
 import pytest
 
-from germlab.newton import _squarefree, newton_number, newton_polygon
+from germlab.newton import Newton, _squarefree, newton_polygon
 from germlab.polynomials import X, Y, parse_polynomial
 
 
 @pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 7) for b in range(a, 9)])
 def test_pure_powers_have_nu_of_the_closed_form(a, b):
-    assert newton_number(X**a + Y**b) == ((a - 1) * (b - 1), True)
+    assert newton_polygon(X**a + Y**b) == Newton((a - 1) * (b - 1), True)
 
 
 @pytest.mark.parametrize("a", range(3, 9))
 def test_a_term_above_the_diagonal_leaves_nu(a):
     # x^a + y^a + x^k y^k, 2k > a; its edge polynomial t^a + 1 has simple roots
     k = a // 2 + 1
-    assert newton_number(X**a + Y**a + X**k * Y**k) == ((a - 1) ** 2, True)
+    assert newton_polygon(X**a + Y**a + X**k * Y**k) == Newton((a - 1) ** 2, True)
 
 
 def test_each_edge_adds_its_trapezoid():
     # x^2 y^2 lies below the segment from y^6 to x^6: edges (0, 6)-(2, 2)
     # and (2, 2)-(6, 0), twice the area 2 * 8 + 4 * 2, nu = 24 - 6 - 6 + 1;
     # both edge polynomials are 1 + t^2
-    assert newton_number(parse_polynomial("x^6 + y^6 + x^2*y^2")) == (13, True)
+    assert newton_polygon(parse_polynomial("x^6 + y^6 + x^2*y^2")) == Newton(13, True)
 
 
 @pytest.mark.parametrize("text", ["x*y", "x^2*y + y^5", "x^3 + x*y^4", "y^2*x^2"])
 def test_a_germ_without_both_pure_powers_is_not_convenient(text):
-    assert newton_number(parse_polynomial(text)) is None
+    assert newton_polygon(parse_polynomial(text)) is None
 
 
 @pytest.mark.parametrize(
@@ -42,7 +42,8 @@ def test_a_germ_without_both_pure_powers_is_not_convenient(text):
     ],
 )
 def test_an_edge_with_a_repeated_root_is_degenerate(text, nu):
-    assert newton_number(parse_polynomial(text)) == (nu, False)
+    newton = newton_polygon(parse_polynomial(text))
+    assert (newton.number, newton.non_degenerate) == (nu, False)
 
 
 @pytest.mark.parametrize(
@@ -57,8 +58,7 @@ def test_an_edge_with_a_repeated_root_is_degenerate(text, nu):
     ],
 )
 def test_a_single_power_edge_reports_its_shift(text, shift):
-    f = parse_polynomial(text)
-    assert newton_polygon(f) == (newton_number(f), shift)
+    assert newton_polygon(parse_polynomial(text)).shift == shift
 
 
 def test_squarefree_matches_the_roots_of_products_of_factors():
